@@ -16,6 +16,16 @@ std::size_t metadata_size(const S3Metadata& metadata) {
   return total;
 }
 
+std::string S3Object::etag() const { return util::Md5::hex_digest(*data); }
+
+std::string S3GetResult::etag() const {
+  return util::Md5::hex_digest(*object_data);
+}
+
+std::string S3HeadResult::etag() const {
+  return util::Md5::hex_digest(*object_data);
+}
+
 S3Service::Bucket& S3Service::bucket_ref(const std::string& bucket) {
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
@@ -87,7 +97,6 @@ AwsResult<void> S3Service::put_shared(const std::string& bucket,
   env_->charge(kService, "PUT", data->size() + meta_bytes, 0);
 
   S3Object obj;
-  obj.etag = util::Md5::hex_digest(*data);
   obj.data = std::move(data);
   obj.metadata = metadata;
   const std::uint64_t size = obj.data->size() + meta_bytes;
@@ -111,7 +120,7 @@ AwsResult<S3GetResult> S3Service::get(const std::string& bucket,
   const S3Object& obj = **found;
   env_->charge(kService, "GET", 0,
                obj.data->size() + metadata_size(obj.metadata));
-  return S3GetResult{obj.data, obj.metadata, obj.etag};
+  return S3GetResult{obj.data, obj.metadata, obj.data};
 }
 
 AwsResult<S3GetResult> S3Service::get_range(const std::string& bucket,
@@ -136,7 +145,7 @@ AwsResult<S3GetResult> S3Service::get_range(const std::string& bucket,
       util::BytesView(*obj.data).substr(begin, end - begin));
   env_->charge(kService, "GET", 0,
                slice->size() + metadata_size(obj.metadata));
-  return S3GetResult{std::move(slice), obj.metadata, obj.etag};
+  return S3GetResult{std::move(slice), obj.metadata, obj.data};
 }
 
 AwsResult<S3HeadResult> S3Service::head(const std::string& bucket,
@@ -153,7 +162,7 @@ AwsResult<S3HeadResult> S3Service::head(const std::string& bucket,
   }
   const S3Object& obj = **found;
   env_->charge(kService, "HEAD", 0, metadata_size(obj.metadata));
-  return S3HeadResult{obj.metadata, obj.data->size(), obj.etag};
+  return S3HeadResult{obj.metadata, obj.data->size(), obj.data};
 }
 
 AwsResult<void> S3Service::copy(const std::string& src_bucket,
@@ -183,7 +192,6 @@ AwsResult<void> S3Service::copy(const std::string& src_bucket,
   S3Object dst;
   dst.data = obj.data;  // shared: server-side copy moves no bytes
   dst.metadata = meta;
-  dst.etag = obj.etag;
   const std::uint64_t size = dst.data->size() + meta_bytes;
   bucket_ref(dst_bucket).put(dst_key, std::move(dst));
   account_put(dst_bucket, dst_key, size);

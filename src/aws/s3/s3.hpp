@@ -10,6 +10,9 @@
 //
 // Billing: every call is metered on service "s3" with the operation name;
 // bytes in/out follow Amazon's rules -- COPY moves no billable bytes.
+//
+// Simulator cost: the ETag (MD5 of the object's bytes) is hashed only when a
+// caller asks for it, so PUT, COPY, GET and HEAD hash nothing.
 #pragma once
 
 #include <cstdint>
@@ -40,21 +43,25 @@ std::size_t metadata_size(const S3Metadata& metadata);
 struct S3Object {
   util::SharedBytes data;
   S3Metadata metadata;
-  std::string etag;  // MD5 of the data, hex -- as real S3 reports
+  /// MD5 of the data, hex -- as real S3 reports. Hashed on each call.
+  std::string etag() const;
 };
 
 /// GET result.
 struct S3GetResult {
-  util::SharedBytes data;
+  util::SharedBytes data;  // the whole object, or the requested range
   S3Metadata metadata;
-  std::string etag;
+  util::SharedBytes object_data;  // the whole object (shared, not copied)
+  /// The whole object's ETag, also after a range GET, as S3 reports it.
+  std::string etag() const;
 };
 
 /// HEAD result: metadata + size only, no data transfer.
 struct S3HeadResult {
   S3Metadata metadata;
   std::uint64_t size = 0;
-  std::string etag;
+  util::SharedBytes object_data;  // the whole object (shared, not copied)
+  std::string etag() const;
 };
 
 /// What COPY should do with metadata, mirroring x-amz-metadata-directive.

@@ -260,18 +260,44 @@ bool item_matches_predicate(const SdbItem& item, const Predicate& pred) {
   return false;
 }
 
+// The operand of an AND-chain's first `=` comparison, or null if it has none.
+const std::string* equality_operand(const std::vector<Comparison>& chain) {
+  for (const Comparison& c : chain)
+    if (c.op == CompareOp::kEq) return &c.value;
+  return nullptr;
+}
+
+// Whether an item matching `pred` must carry one of its `=` operands: true
+// when every OR-group holds an `=` and the predicate is not negated (`not`
+// selects the items that do not match).
+bool seeks_on_equality(const Predicate& pred) {
+  if (pred.negated) return false;
+  for (const auto& chain : pred.or_groups)
+    if (equality_operand(chain) == nullptr) return false;
+  return true;
+}
+
 std::set<std::string> evaluate_predicate(const Predicate& pred,
                                          const SdbDomainData& domain) {
-  // Candidate set via the automatic index: items that carry the attribute.
-  std::set<std::string> candidates;
+  // Candidate set via the automatic index (value -> items): never an item
+  // lacking the attribute.
   auto idx_it = domain.index.find(pred.attribute);
-  if (idx_it != domain.index.end()) {
-    // For a leading equality / starts-with / range comparison we could seek
-    // directly; for simplicity and correctness with OR-groups we take the
-    // attribute's full posting list and verify per item. This is still
-    // selective (never touches items lacking the attribute).
-    for (const auto& [value, items] : idx_it->second)
-      candidates.insert(items.begin(), items.end());
+  if (idx_it == domain.index.end()) return {};
+  const auto& postings = idx_it->second;
+  std::set<std::string> candidates;
+  const auto take = [&candidates](const std::set<std::string>& items) {
+    candidates.insert(items.begin(), items.end());
+  };
+  // Seek the `=` operands' posting lists when they bound the matches (the
+  // Q2/Q3 form ['INPUT' = 'a' or 'INPUT' = 'b']); otherwise read the
+  // attribute's whole posting list.
+  if (seeks_on_equality(pred)) {
+    for (const auto& chain : pred.or_groups) {
+      auto hit = postings.find(*equality_operand(chain));
+      if (hit != postings.end()) take(hit->second);
+    }
+  } else {
+    for (const auto& [value, items] : postings) take(items);
   }
   std::set<std::string> out;
   for (const std::string& name : candidates) {

@@ -20,6 +20,11 @@
 //    semantics. `not` selects items that carry the attribute but do not
 //    match. Comparisons are lexicographic on strings.
 //
+//    Evaluation reads candidates off the domain's index and verifies each.
+//    A predicate whose every OR-group holds an `=` seeks those values'
+//    posting lists; any other, or one under `not`, reads the attribute's
+//    whole posting list.
+//
 // 2. The SELECT form ("queries ... expressed in the standard SQL form"):
 //
 //      select * from mydomain where input = 'bar:2' and type = 'file' limit 50

@@ -1,6 +1,7 @@
 #include "aws/sqs/sqs.hpp"
 
 #include <algorithm>
+#include <charconv>
 
 #include "util/hex.hpp"
 #include "util/require.hpp"
@@ -17,6 +18,18 @@ std::shared_ptr<SqsService::Queue> SqsService::find_queue(
   std::shared_lock<std::shared_mutex> lock(queues_mu_);
   auto it = queues_.find(url);
   return it == queues_.end() ? nullptr : it->second;
+}
+
+std::string SqsService::message_id(std::uint64_t seq) {
+  return "msg-" + util::hex_u64(seq);
+}
+
+std::optional<std::uint64_t> SqsService::parse_message_id(std::string_view id) {
+  const char* digits = id.data() + std::min<std::size_t>(4, id.size());
+  std::uint64_t seq = 0;
+  const auto parsed = std::from_chars(digits, id.data() + id.size(), seq, 16);
+  if (parsed.ec != std::errc() || message_id(seq) != id) return std::nullopt;
+  return seq;
 }
 
 std::string SqsService::make_receipt(std::size_t shard, const std::string& id,
@@ -39,18 +52,30 @@ void SqsService::expire_old(Queue& q) {
   const sim::SimTime cutoff = now - kSqsRetention;
   std::uint64_t reaped = 0;
   for (Shard& shard : q.shards) {
-    for (StoredMessage& m : shard.messages)
-      if (!m.deleted && m.sent_at < cutoff) {
-        m.deleted = true;
-        reaped += m.body.size();
-      }
-    while (!shard.messages.empty() && shard.messages.front().deleted)
-      shard.messages.pop_front();
+    auto& messages = shard.messages;
+    while (!messages.empty() && messages.begin()->second.sent_at < cutoff) {
+      reaped += messages.begin()->second.body.size();
+      messages.erase(messages.begin());
+    }
   }
   if (reaped > 0) {
     q.queue_bytes -= reaped;
     publish_gauge_delta(-static_cast<std::int64_t>(reaped));
   }
+}
+
+std::string SqsService::enqueue(Queue& q, util::Bytes body) {
+  const std::uint64_t seq =
+      next_message_id_.fetch_add(1, std::memory_order_relaxed);
+  StoredMessage m;
+  m.body = std::move(body);
+  m.sent_at = env_->clock().now();
+  m.visible_at = m.sent_at;
+  const std::size_t shard = env_->rng_below(q.shards.size());
+  q.queue_bytes += m.body.size();
+  auto& messages = q.shards[shard].messages;
+  messages.emplace_hint(messages.end(), seq, std::move(m));
+  return message_id(seq);
 }
 
 AwsResult<std::string> SqsService::create_queue(
@@ -98,18 +123,9 @@ AwsResult<std::string> SqsService::send_message(const std::string& url,
     return aws_error(AwsErrorCode::kEntityTooLarge,
                      "message exceeds 8KB limit");
   expire_old(*q);
-
-  StoredMessage m;
-  m.message_id = "msg-" + util::hex_u64(next_message_id_.fetch_add(
-                              1, std::memory_order_relaxed));
-  m.body = util::Bytes(body);
-  m.sent_at = env_->clock().now();
-  m.visible_at = m.sent_at;
-  const std::size_t shard = env_->rng_below(q->shards.size());
-  q->queue_bytes += m.body.size();
-  publish_gauge_delta(static_cast<std::int64_t>(m.body.size()));
-  q->shards[shard].messages.push_back(std::move(m));
-  return q->shards[shard].messages.back().message_id;
+  std::string id = enqueue(*q, util::Bytes(body));
+  publish_gauge_delta(static_cast<std::int64_t>(body.size()));
+  return id;
 }
 
 AwsResult<SqsSendBatchResult> SqsService::send_message_batch(
@@ -139,18 +155,8 @@ AwsResult<SqsSendBatchResult> SqsService::send_message_batch(
                       "batch entry exceeds 8KB limit"}});
       continue;
     }
-    StoredMessage m;
-    m.message_id = "msg-" + util::hex_u64(next_message_id_.fetch_add(
-                                1, std::memory_order_relaxed));
-    m.body = body;
-    m.sent_at = env_->clock().now();
-    m.visible_at = m.sent_at;
-    const std::size_t shard = env_->rng_below(q->shards.size());
-    added_bytes += m.body.size();
-    q->queue_bytes += m.body.size();
-    q->shards[shard].messages.push_back(std::move(m));
-    result.message_ids.push_back(
-        q->shards[shard].messages.back().message_id);
+    added_bytes += body.size();
+    result.message_ids.push_back(enqueue(*q, body));
   }
   if (added_bytes > 0)
     publish_gauge_delta(static_cast<std::int64_t>(added_bytes));
@@ -197,15 +203,15 @@ AwsResult<std::vector<SqsMessage>> SqsService::receive_message(
   std::uint64_t bytes_out = 0;
   for (std::size_t s = 0; s < sample_count && out.size() < max_messages; ++s) {
     Shard& shard = q->shards[shard_order[s]];
-    for (StoredMessage& m : shard.messages) {
+    for (auto& [seq, m] : shard.messages) {
       if (out.size() >= max_messages) break;
-      if (m.deleted || m.visible_at > now) continue;
+      if (m.visible_at > now) continue;
       m.visible_at = now + timeout;  // hide from other consumers
       ++m.receipt_seq;
       SqsMessage delivered;
-      delivered.message_id = m.message_id;
+      delivered.message_id = message_id(seq);
       delivered.receipt_handle =
-          make_receipt(shard_order[s], m.message_id, m.receipt_seq);
+          make_receipt(shard_order[s], delivered.message_id, m.receipt_seq);
       delivered.body = m.body;
       bytes_out += m.body.size();
       out.push_back(std::move(delivered));
@@ -234,18 +240,15 @@ AwsResult<void> SqsService::delete_message(const std::string& url,
   }
   if (shard_idx >= q->shards.size())
     return aws_error(AwsErrorCode::kInvalidReceiptHandle, receipt_handle);
-  Shard& shard = q->shards[shard_idx];
-  for (StoredMessage& m : shard.messages) {
-    if (m.message_id == parts[1]) {
-      if (!m.deleted) {
-        m.deleted = true;
-        q->queue_bytes -= m.body.size();
-        publish_gauge_delta(-static_cast<std::int64_t>(m.body.size()));
-      }
-      return {};
-    }
-  }
-  return {};  // already gone: idempotent
+  auto& messages = q->shards[shard_idx].messages;
+  const std::optional<std::uint64_t> seq = parse_message_id(parts[1]);
+  const auto it = seq ? messages.find(*seq) : messages.end();
+  if (it == messages.end()) return {};  // already gone: idempotent
+  const std::uint64_t bytes = it->second.body.size();
+  messages.erase(it);
+  q->queue_bytes -= bytes;
+  publish_gauge_delta(-static_cast<std::int64_t>(bytes));
+  return {};
 }
 
 AwsResult<std::uint64_t> SqsService::approximate_number_of_messages(
@@ -271,8 +274,7 @@ AwsResult<std::uint64_t> SqsService::approximate_number_of_messages(
   }
   std::uint64_t sampled = 0;
   for (std::size_t s = 0; s < sample_count; ++s)
-    for (const StoredMessage& m : q->shards[shard_order[s]].messages)
-      if (!m.deleted) ++sampled;
+    sampled += q->shards[shard_order[s]].messages.size();
   const double scale =
       static_cast<double>(q->shards.size()) / static_cast<double>(sample_count);
   return static_cast<std::uint64_t>(static_cast<double>(sampled) * scale + 0.5);
@@ -283,9 +285,7 @@ std::uint64_t SqsService::exact_message_count(const std::string& url) const {
   if (q == nullptr) return 0;
   std::lock_guard<std::mutex> lock(q->mu);
   std::uint64_t n = 0;
-  for (const Shard& shard : q->shards)
-    for (const StoredMessage& m : shard.messages)
-      if (!m.deleted) ++n;
+  for (const Shard& shard : q->shards) n += shard.messages.size();
   return n;
 }
 

@@ -14,17 +14,21 @@
 //     this as free garbage collection of uncommitted transactions;
 //   * ApproximateNumberOfMessages is approximate (sampled);
 //   * best-effort ordering only.
+//
+// Simulator cost: a deleted message is erased at once, so send, receive,
+// delete and count touch only the messages still live on the queue, never
+// the queue's history.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "aws/common/env.hpp"
@@ -113,15 +117,17 @@ class SqsService {
 
  private:
   struct StoredMessage {
-    std::string message_id;
     util::Bytes body;
     sim::SimTime sent_at = 0;
-    sim::SimTime visible_at = 0;      // now >= visible_at -> deliverable
-    std::uint64_t receipt_seq = 0;    // bumped every delivery
-    bool deleted = false;
+    sim::SimTime visible_at = 0;    // now >= visible_at -> deliverable
+    std::uint64_t receipt_seq = 0;  // bumped every delivery
   };
+  /// A shard's live messages keyed by message-id sequence number. Ids are
+  /// issued under the queue lock, so key order is send order, and -- the
+  /// clock never going back -- sent_at order too: receives walk the map
+  /// front to back, deletes erase by key and retention pops the front.
   struct Shard {
-    std::deque<StoredMessage> messages;
+    std::map<std::uint64_t, StoredMessage> messages;
   };
   struct Queue {
     std::string name;
@@ -147,9 +153,16 @@ class SqsService {
   /// Caller holds q.mu. Reaps retention-expired messages and publishes the
   /// reaped bytes.
   void expire_old(Queue& q);
+  /// Caller holds q.mu. Stores one message on an RNG-drawn shard; returns
+  /// its id.
+  std::string enqueue(Queue& q, util::Bytes body);
   /// Fold a live-bytes change into the service-wide gauge + meter.
   void publish_gauge_delta(std::int64_t delta);
 
+  /// message id encoding: "msg-<sequence number as 16 hex digits>".
+  static std::string message_id(std::uint64_t seq);
+  /// Inverse of message_id(); nullopt for anything it cannot have produced.
+  static std::optional<std::uint64_t> parse_message_id(std::string_view id);
   /// receipt handle encoding: "<shard>:<message_id>:<receipt_seq>".
   static std::string make_receipt(std::size_t shard, const std::string& id,
                                   std::uint64_t seq);

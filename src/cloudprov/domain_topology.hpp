@@ -40,7 +40,7 @@ struct TopologyConfig {
   /// original single-"provenance"-domain layout bit-identically.
   std::size_t shard_count = 1;
   /// Base domain name; empty selects kProvenanceDomain.
-  std::string base_domain;
+  std::string base_domain{};
   /// Concurrent shard requests the topology's executor allows. 1 runs every
   /// fan-out inline and in order (the deterministic test/reference mode).
   std::size_t parallelism = 1;

@@ -29,10 +29,31 @@ TEST_F(S3Test, PutThenGetRoundTrips) {
 }
 
 TEST_F(S3Test, EtagIsContentMd5) {
-  ASSERT_TRUE(s3_.put("b", "key", "abc").has_value());
+  // The ETag is the MD5 of the whole object's bytes, however it is read.
+  ASSERT_TRUE(s3_.put("b", "key", "abcdef").has_value());
+  const std::string etag = util::Md5::hex_digest("abcdef");
   auto got = s3_.get("b", "key");
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->etag, util::Md5::hex_digest("abc"));
+  EXPECT_EQ(got->etag(), etag);
+  auto head = s3_.head("b", "key");
+  ASSERT_TRUE(head.has_value());
+  EXPECT_EQ(head->etag(), etag);
+  EXPECT_EQ(s3_.peek("b", "key")->etag(), etag);
+  // A range GET reports the whole object's ETag, not its slice's.
+  auto range = s3_.get_range("b", "key", 1, 3);
+  ASSERT_TRUE(range.has_value());
+  EXPECT_EQ(*range->data, "bcd");
+  EXPECT_EQ(range->etag(), etag);
+  // COPY: the destination carries the source's bytes, so its ETag.
+  ASSERT_TRUE(s3_.copy("b", "key", "b", "copy", MetadataDirective::kReplace,
+                       {{"k", "v"}})
+                  .has_value());
+  EXPECT_EQ(s3_.get("b", "copy")->etag(), etag);
+  // Overwrite: new bytes, new ETag; the copy keeps the old one.
+  ASSERT_TRUE(s3_.put("b", "key", "xyz").has_value());
+  EXPECT_EQ(s3_.get("b", "key")->etag(), util::Md5::hex_digest("xyz"));
+  EXPECT_EQ(s3_.head("b", "key")->etag(), util::Md5::hex_digest("xyz"));
+  EXPECT_EQ(s3_.get("b", "copy")->etag(), etag);
 }
 
 TEST_F(S3Test, PutOverwrites) {

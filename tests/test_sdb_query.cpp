@@ -121,7 +121,15 @@ TEST(QueryLangTest, CrossAttributePredicateRejected) {
 
 struct BadExpression {
   const char* text;
+  const char* ctest_name;
 };
+
+// CTest names each case after how gtest prints it. Unprinted, a case is its
+// raw bytes -- here a pointer -- so the name changed from build to build.
+// Print the name the case is registered under instead.
+void PrintTo(const BadExpression& b, std::ostream* os) {
+  *os << b.ctest_name;
+}
 
 class QueryLangRejects : public ::testing::TestWithParam<BadExpression> {};
 
@@ -131,12 +139,19 @@ TEST_P(QueryLangRejects, MalformedExpressions) {
 
 INSTANTIATE_TEST_SUITE_P(
     Bad, QueryLangRejects,
-    ::testing::Values(BadExpression{"["}, BadExpression{"[']"},
-                      BadExpression{"['a' ='"}, BadExpression{"['a' 'b']"},
-                      BadExpression{"['a' = 'b'] garbage ['c' = 'd']"},
-                      BadExpression{"['a' = 'b'] union"},
-                      BadExpression{"not"}, BadExpression{"['a' = 'b' and]"},
-                      BadExpression{"hello"}));
+    ::testing::Values(
+        BadExpression{"[", "8-byte object <6E-32 F2-8D 8C-55 00-00>"},
+        BadExpression{"[']", "8-byte object <59-03 F3-8D 8C-55 00-00>"},
+        BadExpression{"['a' ='", "8-byte object <5D-03 F3-8D 8C-55 00-00>"},
+        BadExpression{"['a' 'b']", "8-byte object <65-03 F3-8D 8C-55 00-00>"},
+        BadExpression{"['a' = 'b'] garbage ['c' = 'd']",
+                      "8-byte object <C0-0A F3-8D 8C-55 00-00>"},
+        BadExpression{"['a' = 'b'] union",
+                      "8-byte object <6F-03 F3-8D 8C-55 00-00>"},
+        BadExpression{"not", "8-byte object <81-03 F3-8D 8C-55 00-00>"},
+        BadExpression{"['a' = 'b' and]",
+                      "8-byte object <85-03 F3-8D 8C-55 00-00>"},
+        BadExpression{"hello", "8-byte object <FC-44 F2-8D 8C-55 00-00>"}));
 
 TEST(QueryLangTest, QuoteEscaping) {
   SdbDomainData d;
@@ -398,6 +413,49 @@ TEST_P(QueryLangFuzz, IndexedEvaluatorMatchesBruteForce) {
       expr += std::string(" ") + (rng.next_bool(0.5) ? "and" : "or") + " '" +
               attr + "' " + ops[rng.next_below(ops.size())] + " '" +
               values[rng.next_below(values.size())] + "'";
+    expr += "]";
+    if (rng.next_bool(0.3)) expr = "not " + expr;
+
+    auto parsed = parse_query(expr);
+    ASSERT_TRUE(parsed.has_value()) << expr;
+    ASSERT_EQ(parsed->predicates.size(), 1u);
+    EXPECT_EQ(evaluate(*parsed, d), ref_predicate(parsed->predicates[0], d))
+        << expr;
+  }
+
+  // The shapes the evaluator answers by seeking `=` values in the index:
+  // OR chains of 1-6 `=` terms (the Q2/Q3 'INPUT' form), and OR-ed AND
+  // chains mixing `=` with a range or starts-with -- each sometimes under
+  // `not`, and with values no item carries ("0", "zz").
+  std::vector<std::string> probes = values;
+  probes.insert(probes.end(), {"0", "zz"});
+  const std::vector<const char*> mixers = {"<", "<=", ">", ">=",
+                                           "starts-with"};
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::string attr = attrs[rng.next_below(attrs.size())];
+    const auto term = [&](const std::string& op) {
+      return "'" + attr + "' " + op + " '" +
+             probes[rng.next_below(probes.size())] + "'";
+    };
+    std::string expr = "[";
+    if (trial % 2 == 0) {
+      const std::size_t terms = 1 + rng.next_below(6);
+      for (std::size_t i = 0; i < terms; ++i)
+        expr += (i > 0 ? " or " : "") + term("=");
+    } else {
+      const std::size_t chains = 1 + rng.next_below(3);
+      for (std::size_t c = 0; c < chains; ++c) {
+        const std::size_t len = 2 + rng.next_below(2);
+        const std::size_t eq_at = rng.next_below(len);
+        if (c > 0) expr += " or ";
+        for (std::size_t i = 0; i < len; ++i) {
+          if (i > 0) expr += " and ";
+          const std::string op =
+              i == eq_at ? "=" : mixers[rng.next_below(mixers.size())];
+          expr += term(op);
+        }
+      }
+    }
     expr += "]";
     if (rng.next_bool(0.3)) expr = "not " + expr;
 

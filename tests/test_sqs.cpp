@@ -2,6 +2,8 @@
 // (section 2.3 of the paper).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -215,6 +217,58 @@ TEST_F(SqsTest, DeleteQueueReleasesStorageAndInvalidatesQueue) {
   EXPECT_EQ(sqs_.stored_bytes(), 0u);  // a late send cannot leak the gauge
 }
 
+// The shard a receipt handle names ("<shard>:<message_id>:<receipt_seq>").
+std::size_t receipt_shard(const std::string& handle) {
+  return std::stoul(handle.substr(0, handle.find(':')));
+}
+
+TEST_F(SqsTest, DeletedMessagesLeaveOnlySurvivorsInSendOrder) {
+  constexpr int kMessages = 60;
+  std::vector<std::string> ids;
+  for (int i = 0; i < kMessages; ++i)
+    ids.push_back(*sqs_.send_message(url_, std::string(1 + i, 'm')));
+  std::map<std::string, std::string> receipts;  // message id -> handle
+  while (receipts.size() < ids.size()) {
+    auto got = sqs_.receive_message(url_, 10);
+    ASSERT_TRUE(got.has_value());
+    ASSERT_FALSE(got->empty());
+    for (const auto& m : *got) receipts[m.message_id] = m.receipt_handle;
+  }
+  std::map<std::string, int> survivors;  // message id -> send index
+  std::uint64_t survivor_bytes = 0;
+  for (int i = 0; i < kMessages; ++i) {
+    if (i % 2 == 0) {
+      ASSERT_TRUE(sqs_.delete_message(url_, receipts.at(ids[i])).has_value());
+    } else {
+      survivors[ids[i]] = i;
+      survivor_bytes += static_cast<std::uint64_t>(1 + i);
+    }
+  }
+  EXPECT_EQ(sqs_.exact_message_count(url_), survivors.size());
+  EXPECT_EQ(*sqs_.approximate_number_of_messages(url_), survivors.size());
+  EXPECT_EQ(sqs_.stored_bytes(), survivor_bytes);
+
+  // Once visible again, receives return exactly the survivors, each shard's
+  // in the order they were sent.
+  env_.clock().advance_by(kSqsDefaultVisibilityTimeout + sim::kSecond);
+  std::map<std::size_t, std::vector<int>> per_shard;  // shard -> send indices
+  std::size_t delivered = 0;
+  for (;;) {
+    auto got = sqs_.receive_message(url_, 10);
+    ASSERT_TRUE(got.has_value());
+    if (got->empty()) break;
+    for (const auto& m : *got) {
+      ASSERT_EQ(survivors.count(m.message_id), 1u) << m.message_id;
+      per_shard[receipt_shard(m.receipt_handle)].push_back(
+          survivors.at(m.message_id));
+      ++delivered;
+    }
+  }
+  EXPECT_EQ(delivered, survivors.size());
+  for (const auto& [shard, order] : per_shard)
+    EXPECT_TRUE(std::is_sorted(order.begin(), order.end())) << shard;
+}
+
 TEST_F(SqsTest, StorageGaugeTracksBodies) {
   ASSERT_TRUE(sqs_.send_message(url_, std::string(100, 'a')).has_value());
   ASSERT_TRUE(sqs_.send_message(url_, std::string(50, 'b')).has_value());
@@ -269,6 +323,35 @@ TEST_F(SqsSamplingTest, RepeatedReceivesEventuallySeeEverything) {
     for (const auto& m : *got) seen.insert(std::string(m.body));
   }
   EXPECT_EQ(seen, sent);
+}
+
+TEST_F(SqsSamplingTest, SeededScriptDeliversPinnedSequence) {
+  // A fixed script of sends, sampled receives and deletes, with redelivery
+  // after the visibility timeout. The delivered sequence pins delivery
+  // order and every RNG draw (shard placement and shard sampling).
+  std::vector<std::uint64_t> delivered;  // message-id sequence numbers
+  int receives = 0;
+  for (int round = 0; round < 12; ++round) {
+    for (int i = 0; i < 5; ++i)
+      ASSERT_TRUE(sqs_.send_message(url_, "r" + std::to_string(round) + "." +
+                                              std::to_string(i))
+                      .has_value());
+    auto got = sqs_.receive_message(url_, 4, 20 * sim::kSecond);
+    ASSERT_TRUE(got.has_value());
+    for (const auto& m : *got) {
+      delivered.push_back(std::stoull(m.message_id.substr(4), nullptr, 16));
+      if (receives++ % 3 != 0)
+        ASSERT_TRUE(sqs_.delete_message(url_, m.receipt_handle).has_value());
+    }
+    if (round % 4 == 3)
+      ASSERT_TRUE(sqs_.approximate_number_of_messages(url_).has_value());
+    env_.clock().advance_by(15 * sim::kSecond);
+  }
+  const std::vector<std::uint64_t> pinned = {
+      2,  4,  7,  10, 9,  1,  13, 14, 15, 3,  11, 16, 22, 10,
+      17, 19, 21, 2,  12, 26, 32, 5,  6,  33, 38, 8,  20, 25,
+      36, 22, 23, 37, 44, 3,  50, 54, 25, 5,  38, 42, 45};
+  EXPECT_EQ(delivered, pinned);
 }
 
 TEST_F(SqsSamplingTest, ApproximateCountIsApproximate) {

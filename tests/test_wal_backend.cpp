@@ -179,7 +179,15 @@ TEST_F(WalCrashTest, UncommittedTempObjectCleanedAfterTtl) {
 
 struct DaemonCrashCase {
   const char* point;
+  const char* ctest_name;
 };
+
+// CTest names each case after how gtest prints it. Unprinted, a case is its
+// raw bytes -- here a pointer -- so the name changed from build to build.
+// Print the name the case is registered under instead.
+void PrintTo(const DaemonCrashCase& c, std::ostream* os) {
+  *os << c.ctest_name;
+}
 
 class WalDaemonCrashTest : public ::testing::TestWithParam<DaemonCrashCase> {};
 
@@ -217,11 +225,17 @@ TEST_P(WalDaemonCrashTest, ReplayAfterDaemonCrashIsIdempotent) {
 
 INSTANTIATE_TEST_SUITE_P(
     Points, WalDaemonCrashTest,
-    ::testing::Values(DaemonCrashCase{"commitd.after_receive"},
-                      DaemonCrashCase{"commitd.after_copy"},
-                      DaemonCrashCase{"commitd.after_sdb"},
-                      DaemonCrashCase{"commitd.mid_message_delete"},
-                      DaemonCrashCase{"commitd.before_temp_delete"}));
+    ::testing::Values(
+        DaemonCrashCase{"commitd.after_receive",
+                        "8-byte object <68-74 F1-8D 8C-55 00-00>"},
+        DaemonCrashCase{"commitd.after_copy",
+                        "8-byte object <7E-74 F1-8D 8C-55 00-00>"},
+        DaemonCrashCase{"commitd.after_sdb",
+                        "8-byte object <91-74 F1-8D 8C-55 00-00>"},
+        DaemonCrashCase{"commitd.mid_message_delete",
+                        "8-byte object <A3-74 F1-8D 8C-55 00-00>"},
+        DaemonCrashCase{"commitd.before_temp_delete",
+                        "8-byte object <73-02 F4-8D 8C-55 00-00>"}));
 
 // --- sampling SQS: the daemon must cope with partial receives ---
 
