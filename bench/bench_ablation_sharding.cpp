@@ -128,7 +128,7 @@ int main() {
       points.push_back(run_point(trace, program, 25, shards, parallelism));
   // The cross-close group-commit points: same sharded layout, the client
   // session coalescing 25 closes per durability barrier (batched WAL
-  // sends + one commit-daemon poke per group).
+  // sends, and one maintenance step per group).
   for (const std::size_t shards : {std::size_t{1}, std::size_t{4}})
     points.push_back(run_point(trace, program, 25, shards, 1, 25));
 

@@ -3,8 +3,9 @@
 // A backend implements one of the three architectures from section 4. It
 // receives FlushUnits from PASS at file close (store), serves the read-
 // correctness read path (read), retrieves provenance (get_provenance),
-// recovers after client crashes (recover), and -- for the WAL architecture --
-// exposes pump()/quiesce() to drive its daemons deterministically.
+// recovers after client crashes (recover), and -- for backends with
+// background work (Arch 3's WAL drain, Arch 4's index publication and
+// cleaner) -- exposes pump()/quiesce() to drive it deterministically.
 #pragma once
 
 #include <cstdint>
@@ -221,12 +222,18 @@ class ProvenanceBackend {
   /// replay via the commit daemon.
   virtual void recover() = 0;
 
-  /// Drive background daemons one step (Arch 3's commit daemon; no-op
-  /// elsewhere).
+  /// One step of background maintenance, each task gated on its own
+  /// threshold: Arch 3's WAL drain, Arch 4's index publication and cleaner;
+  /// a no-op for Arch 1/2. The commit daemon calls it after every flush
+  /// group, on its own maintenance timeline (see Session).
   virtual void pump() {}
 
   /// Run daemons until stable (e.g. WAL fully drained). Test/bench helper.
-  virtual void quiesce() {}
+  /// First joins the commit daemon's maintenance actor: the caller's
+  /// timeline advances to the actor's end, the wait charged as "idle".
+  /// Then runs do_quiesce() on the caller's timeline. Non-virtual so the
+  /// join happens on every backend; defined in session.cpp.
+  void quiesce();
 
   /// Paper Table 1 row, verified empirically by cloudprov/properties.
   struct PropertyClaims {
@@ -248,6 +255,8 @@ class ProvenanceBackend {
  protected:
   /// open_session's virtual hook.
   virtual std::unique_ptr<Session> do_open_session(SessionConfig config) = 0;
+  /// quiesce()'s virtual hook: drain the backend's deferred work.
+  virtual void do_quiesce() {}
 
  private:
   std::mutex daemon_mu_;

@@ -72,9 +72,10 @@ std::unique_ptr<Session> LsbBackend::do_open_session(SessionConfig config) {
 
 void LsbBackend::commit_group(const std::vector<TicketState*>& group,
                               sim::LatencyLedger* /*ledger*/) {
-  // Every call the group shares (the segment PUTs, a due index checkpoint,
-  // a due cleaner pass) stays on the daemon's group timeline: amortized
-  // cost lands on every rider, critical-path-merged at retire.
+  // The segment PUTs are shared by the group: they stay on the daemon's
+  // group timeline, so the amortized cost lands on every rider,
+  // critical-path-merged at retire. Index publication and cleaning are not
+  // part of the close: the commit daemon runs pump() after the group.
   aws::CloudEnv& env = *services_->env;
   if (group.empty()) return;
   env.failures().crash_point("lsb.seal.begin");
@@ -162,21 +163,6 @@ void LsbBackend::commit_group(const std::vector<TicketState*>& group,
     seal_entries_->record(end - start);
     start = end;
   }
-
-  // Daemon-role maintenance, amortized across the group: checkpoint the
-  // index when enough postings accumulated, clean when enough segments did.
-  bool publish = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    publish = pending_posting_count_ >= config_.index_publish_entries;
-  }
-  if (publish) publish_index();
-  bool clean = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    clean = compact_due_locked();
-  }
-  if (clean) compact();
 }
 
 void LsbBackend::index_entry_locked(const pass::ObjectVersion& id,
@@ -777,7 +763,7 @@ void LsbBackend::pump() {
   if (clean) compact();
 }
 
-void LsbBackend::quiesce() {
+void LsbBackend::do_quiesce() {
   publish_index();
   for (;;) {
     bool clean = false;

@@ -11,14 +11,16 @@
 // above the indexed-to watermark, so a crashed publication can never tear
 // the index, and a crashed seal leaves only an ignorable orphan object.
 //
-// A background cleaner runs in the commit-daemon role (inside commit_group
-// / pump, never a thread of its own): it rewrites the live entries of its
-// victim segments (garbage-richest first by default, see CleanerPolicy)
-// into one consolidated segment -- dropping data bytes of
-// superseded file versions, whose records alone stay retrievable, exactly
-// the retention Arch 1-3 offer -- republishes their postings, advances the
-// durable delete-to watermark (kivaloo deleteto.c style) and deletes the
-// dead objects. Ancestry walks are bit-identical before and after.
+// Index publication and a background cleaner run in pump(), which the
+// session's commit daemon calls after every flush group on its own
+// maintenance timeline (never a thread of its own, and never on a close's
+// timeline). The cleaner rewrites the live entries of its victim segments
+// (garbage-richest first by default, see CleanerPolicy) into one
+// consolidated segment -- dropping data bytes of superseded file versions,
+// whose records alone stay retrievable, exactly the retention Arch 1-3
+// offer -- republishes their postings, advances the durable delete-to
+// watermark (kivaloo deleteto.c style) and deletes the dead objects.
+// Ancestry walks are bit-identical before and after.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +55,8 @@ struct LsbBackendConfig {
   /// Postings buffered in memory before a SimpleDB index publication (the
   /// LFS checkpoint interval, in closes). quiesce() always drains.
   std::size_t index_publish_entries = 512;
-  /// Live sealed segments before the cleaner consolidates on the write
-  /// path; 0 disables automatic cleaning (compact() still works).
+  /// Live sealed segments before the cleaner consolidates in pump(); 0
+  /// disables automatic cleaning (compact() still works).
   std::size_t compact_trigger_segments = 64;
   /// Most segments one cleaner pass rewrites.
   std::size_t compact_max_segments = 32;
@@ -81,8 +83,8 @@ class LsbBackend final : public ProvenanceBackend {
   bool supports_group_commit() const override { return true; }
 
   /// Seal the group into segment objects (one PUT per cap-sized run; each
-  /// ticket is done once its segment is durable), buffer the postings, and
-  /// publish the index / run the cleaner when their thresholds trip.
+  /// ticket is done once its segment is durable) and buffer the postings
+  /// for pump() to publish.
   void commit_group(const std::vector<TicketState*>& group,
                     sim::LatencyLedger* ledger) override;
 
@@ -101,8 +103,6 @@ class LsbBackend final : public ProvenanceBackend {
 
   /// Publish a due index checkpoint and run the cleaner if it is due.
   void pump() override;
-  /// Drain: publish every buffered posting.
-  void quiesce() override;
 
   PropertyClaims claims() const override {
     // Efficient query is the LFS trade-off: postings index *locations*,
@@ -138,6 +138,10 @@ class LsbBackend final : public ProvenanceBackend {
     std::uint64_t pending_postings = 0;
   };
   SegmentStats stats() const;
+
+ protected:
+  /// Drain: publish every buffered posting, then clean while due.
+  void do_quiesce() override;
 
  private:
   /// In-memory image of one live segment (accounting only; entry payloads

@@ -65,6 +65,16 @@ std::vector<BackendResult<ReadResult>> ProvenanceBackend::read_many(
   return out;
 }
 
+void ProvenanceBackend::quiesce() {
+  std::shared_ptr<CommitDaemon> daemon;
+  {
+    std::lock_guard<std::mutex> lock(daemon_mu_);
+    daemon = daemon_;
+  }
+  if (daemon != nullptr) daemon->join_maintenance();
+  do_quiesce();
+}
+
 std::shared_ptr<CommitDaemon> ProvenanceBackend::commit_daemon(
     sim::LatencyLedger* ledger, sim::SimClock* clock, obs::Tracer* tracer,
     obs::MetricsRegistry* metrics) {
@@ -258,20 +268,29 @@ void CommitDaemon::flush_group(std::unique_lock<std::mutex>& lk,
 
   try {
     if (ledger_ != nullptr) {
-      // The shared timeline is a stack object whose address recurs across
-      // flushes: force it onto a fresh trace track per group.
-      if (tracing)
-        tracer_->begin_track(&shared, "group-" + std::to_string(seq));
-      sim::LatencyLedger::ScopedTimeline bind(*ledger_, shared);
-      obs::Span span(tracer_, "flush", "daemon");
-      span.arg("group", static_cast<std::uint64_t>(group.size()));
-      span.arg("trigger", to_string(trigger));
-      span.arg("group_seq", seq);
-      PROVCLOUD_DEBUG("daemon") << "flush group=" << group.size()
-                                << " trigger=" << to_string(trigger);
-      backend_->commit_group(group, ledger_);
+      {
+        // The shared timeline is a stack object whose address recurs
+        // across flushes: force it onto a fresh trace track per group.
+        if (tracing)
+          tracer_->begin_track(&shared, "group-" + std::to_string(seq));
+        sim::LatencyLedger::ScopedTimeline bind(*ledger_, shared);
+        obs::Span span(tracer_, "flush", "daemon");
+        span.arg("group", static_cast<std::uint64_t>(group.size()));
+        span.arg("trigger", to_string(trigger));
+        span.arg("group_seq", seq);
+        PROVCLOUD_DEBUG("daemon") << "flush group=" << group.size()
+                                  << " trigger=" << to_string(trigger);
+        backend_->commit_group(group, ledger_);
+      }
+      // On the flushing thread's timeline the group ends when its slowest
+      // rider does, once publish() adds the shared time to every rider.
+      sim::SimTime slowest = 0;
+      for (const std::shared_ptr<TicketState>& t : owned)
+        slowest = std::max(slowest, t->timeline.elapsed);
+      maintain(ledger_->elapsed() + slowest + shared.elapsed);
     } else {
       backend_->commit_group(group, nullptr);
+      backend_->pump();
     }
   } catch (const sim::CrashError&) {
     // The client died mid-group: whatever the backend marked done stays
@@ -291,6 +310,46 @@ void CommitDaemon::flush_group(std::unique_lock<std::mutex>& lk,
          "backend returned without completing this close");
   publish();
   finish();
+}
+
+void CommitDaemon::maintain(sim::SimTime group_end) {
+  // The actor takes one task at a time and cannot start on a group that
+  // has not ended; the gap before `start` is idle, not busy.
+  const sim::SimTime prev_end = maintenance_.elapsed;
+  const sim::SimTime start = std::max(prev_end, group_end);
+  maintenance_.elapsed = start;
+  const auto account = [this, prev_end, start] {
+    const sim::SimTime busy = maintenance_.elapsed - start;
+    if (busy == 0)
+      maintenance_.elapsed = prev_end;  // nothing was due: the actor slept
+    else if (maintenance_busy_us_ != nullptr)
+      maintenance_busy_us_->add(busy);
+  };
+  try {
+    if (tracer_ != nullptr && tracer_->enabled())
+      tracer_->name_track(&maintenance_, "maintenance");
+    sim::LatencyLedger::ScopedTimeline bind(*ledger_, maintenance_);
+    backend_->pump();
+  } catch (...) {
+    account();
+    throw;
+  }
+  account();
+}
+
+void CommitDaemon::join_maintenance() {
+  if (ledger_ == nullptr) return;
+  sim::SimTime end = 0;
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [this] { return !flushing_; });
+    end = maintenance_.elapsed;
+  }
+  const sim::SimTime now = ledger_->elapsed();
+  if (end <= now) return;
+  obs::Span span(tracer_, "maintenance.join", "daemon");
+  ledger_->charge(end - now, "idle");
+  if (maintenance_wait_us_ != nullptr) maintenance_wait_us_->add(end - now);
 }
 
 // ---------------------------------------------------------------------------

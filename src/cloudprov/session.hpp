@@ -22,8 +22,8 @@
 //   Arch 1  submit == store (its single-PUT atomicity depends on it);
 //   Arch 2  one BatchPutAttributes chain per group of closes instead of
 //           per close, routed per shard through DomainTopology;
-//   Arch 3  WAL log records of the whole group ride batched SQS sends and
-//           one commit-daemon poke per group.
+//   Arch 3  WAL log records of the whole group ride batched SQS sends; the
+//           WAL drain runs in the daemon's maintenance step, not the close.
 //
 // Read-your-writes: Session::read(object) consults the session's in-flight
 // submits before the backend read path. A pending (unflushed) submit is
@@ -48,8 +48,19 @@
 // owning session merges its own tickets of that group into its caller's
 // timeline by critical path: in-flight closes overlap, so the client waits
 // for the slowest one, not the sum. With group size 1 and no queue wait the
-// merge degenerates to the sum and the session is bit-for-bit the old
-// store() accounting.
+// merge degenerates to the sum.
+//
+// Maintenance: after every group the daemon runs the backend's pump() (Arch
+// 3's WAL drain, Arch 4's index publication and cleaner) on its own
+// "maintenance" timeline, which no ticket or group absorbs: a close is done
+// once its group committed, as with the paper's separate commit daemon. The
+// maintenance actor is concurrent, not free: each task starts at the later
+// of its previous task's end and the triggering group's end, and
+// ProvenanceBackend::quiesce() first advances its caller to the actor's end,
+// charged as "idle". So a client's elapsed time after quiesce() is the larger
+// of its own path and the actor's, never more than the serial sum of all
+// charges. Arch 1/2's pump() is a no-op, so their accounting is the sum
+// exactly.
 #pragma once
 
 #include <atomic>
@@ -145,10 +156,12 @@ class Ticket {
 /// daemon thread -- in a discrete-event world the daemon is a role: the
 /// submitting thread whose enqueue makes the group flushable, the syncing
 /// thread at a barrier, or the clock event a flush deadline scheduled
-/// claims the `flushing_` token and drains the queue into the backend's
-/// commit_group. Submits arriving while a flush is in flight enqueue and
-/// return immediately: the active flusher re-checks the trigger when it
-/// finishes, so they join the next group rather than blocking.
+/// claims the `flushing_` token, drains the queue into the backend's
+/// commit_group, and then runs the backend's pump() as the maintenance
+/// step on the daemon's own timeline. Submits arriving while a flush is in
+/// flight enqueue and return immediately: the active flusher re-checks the
+/// trigger when it finishes, so they join the next group rather than
+/// blocking.
 class CommitDaemon : public std::enable_shared_from_this<CommitDaemon> {
  public:
   CommitDaemon(ProvenanceBackend& backend, sim::LatencyLedger* ledger,
@@ -162,6 +175,8 @@ class CommitDaemon : public std::enable_shared_from_this<CommitDaemon> {
       flush_deadline_ = &metrics->counter("daemon.flush.deadline");
       flush_sync_ = &metrics->counter("daemon.flush.sync");
       queue_wait_us_ = &metrics->counter("idle.queue_wait_us");
+      maintenance_busy_us_ = &metrics->counter("maintenance.busy_us");
+      maintenance_wait_us_ = &metrics->counter("idle.maintenance_wait_us");
     }
   }
   CommitDaemon(const CommitDaemon&) = delete;
@@ -195,15 +210,26 @@ class CommitDaemon : public std::enable_shared_from_this<CommitDaemon> {
   /// Queued (not yet flushing) submits, across all sessions.
   std::size_t queued() const;
 
+  /// Join the maintenance actor: wait out any flush in flight, then advance
+  /// the calling thread's timeline to the actor's end, charging the gap as
+  /// "idle" (counter idle.maintenance_wait_us). A caller already past the
+  /// actor's end pays nothing.
+  void join_maintenance();
+
  private:
   /// The trigger warranting a flush right now, if any: full group (the
   /// smallest effective max_group among queued tickets -- a small-group
   /// session flushes everyone sooner) or expired deadline.
   std::optional<FlushTrigger> trigger_locked() const;
   /// Claim the flusher token, drain the whole queue as one group, run the
-  /// backend's commit_group unlocked, settle/publish the tickets, release
-  /// the token. `lk` is held on entry and exit.
+  /// backend's commit_group and then the maintenance step unlocked,
+  /// settle/publish the tickets, release the token. `lk` is held on entry
+  /// and exit.
   void flush_group(std::unique_lock<std::mutex>& lk, FlushTrigger trigger);
+  /// The maintenance step after a group whose last rider ends at
+  /// `group_end` on the flushing thread's timeline: the backend's pump(),
+  /// bound to `maintenance_`. Runs under the flush token.
+  void maintain(sim::SimTime group_end);
 
   ProvenanceBackend* backend_;
   sim::LatencyLedger* ledger_;
@@ -215,11 +241,18 @@ class CommitDaemon : public std::enable_shared_from_this<CommitDaemon> {
   obs::Counter* flush_deadline_ = nullptr;
   obs::Counter* flush_sync_ = nullptr;
   obs::Counter* queue_wait_us_ = nullptr;
+  obs::Counter* maintenance_busy_us_ = nullptr;
+  obs::Counter* maintenance_wait_us_ = nullptr;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::shared_ptr<TicketState>> queue_;
   bool flushing_ = false;
+  /// The maintenance actor's timeline; its elapsed is the actor's end on
+  /// the clients' virtual axis. Written only by the flusher (under the
+  /// flush token), read by join_maintenance() under mu_ once no flush is in
+  /// flight.
+  sim::LatencyLedger::Timeline maintenance_;
   std::uint64_t next_group_seq_ = 0;
   std::uint64_t next_session_serial_ = 1;
 };

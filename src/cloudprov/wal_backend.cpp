@@ -113,7 +113,6 @@ void WalBackend::commit_group(const std::vector<TicketState*>& group,
     // A single-close group is the per-close protocol, message for message.
     for (TicketState* ticket : group)
       log_transaction(ticket->unit, ticket, ledger);
-    pump();
     return;
   }
 
@@ -222,9 +221,6 @@ void WalBackend::commit_group(const std::vector<TicketState*>& group,
                  for (std::size_t i = start; i < end; ++i)
                    txns[i].ticket->done = true;
                });
-
-  // One commit-daemon poke per group instead of per close.
-  pump();
 }
 
 void WalBackend::pump() {
@@ -507,7 +503,7 @@ void WalBackend::recover() {
   clean_temp_objects();
 }
 
-void WalBackend::quiesce() {
+void WalBackend::do_quiesce() {
   aws::CloudEnv& env = *services_->env;
   obs::Span span(&env.tracer(), "wal.quiesce", "wal");
   std::uint64_t rounds = 0;

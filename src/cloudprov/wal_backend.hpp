@@ -11,15 +11,18 @@
 //      record;
 //   5. enqueue the commit record.
 //
-// The commit daemon (pump) watches ApproximateNumberOfMessages; past the
-// threshold it drains the queue with repeated ReceiveMessage calls (SQS
-// sampling can miss messages), assembles complete transactions, and for
-// each: COPY temp -> real name stamping the nonce metadata, PutAttributes
-// the provenance (<= 100 attrs per call, > 1 KB values spilled to S3),
-// DeleteMessage the log records, DELETE the temp object. Every step is
-// idempotent, so replay after a daemon crash is safe. Transactions without
-// a commit record are ignored; SQS's 4-day retention garbage-collects their
-// messages and the cleaner daemon removes their temp objects.
+// A close is done once its commit record is in the queue. The commit daemon
+// (pump) is a separate actor: the session's CommitDaemon runs it after every
+// flush group on its own maintenance timeline, so no close waits for it. It
+// watches ApproximateNumberOfMessages; past the threshold it drains the
+// queue with repeated ReceiveMessage calls (SQS sampling can miss messages),
+// assembles complete transactions, and for each: COPY temp -> real name
+// stamping the nonce metadata, PutAttributes the provenance (<= 100 attrs
+// per call, > 1 KB values spilled to S3), DeleteMessage the log records,
+// DELETE the temp object. Every step is idempotent, so replay after a daemon
+// crash is safe. Transactions without a commit record are ignored; SQS's
+// 4-day retention garbage-collects their messages and the cleaner daemon
+// removes their temp objects.
 #pragma once
 
 #include <map>
@@ -71,9 +74,9 @@ class WalBackend final : public ProvenanceBackend {
   /// Cross-close group commit for the log phase: the whole group's WAL
   /// records ride SendMessageBatch calls (10 messages per round trip,
   /// ordering preserved: begins, temp PUTs, middles, then the sealing
-  /// commits in submit order) and the commit daemon is poked once per
-  /// group instead of once per close. A single-close group takes the
-  /// legacy per-message path bit-for-bit.
+  /// commits in submit order). A single-close group takes the legacy
+  /// per-message path bit-for-bit. The drain is not part of it: the
+  /// session's commit daemon calls pump() once after every group.
   void commit_group(const std::vector<TicketState*>& group,
                     sim::LatencyLedger* ledger) override;
   BackendResult<ReadResult> read(const std::string& object,
@@ -87,10 +90,6 @@ class WalBackend final : public ProvenanceBackend {
 
   /// One commit-daemon step (threshold-gated).
   void pump() override;
-
-  /// Drain the WAL completely: force-pump and advance past visibility
-  /// timeouts until the queue is empty. Mutates the simulated clock.
-  void quiesce() override;
 
   /// Cleaner daemon: delete temp objects of uncommitted transactions older
   /// than the TTL.
@@ -110,6 +109,11 @@ class WalBackend final : public ProvenanceBackend {
   const ShardRouter& router() const { return topology_->router(); }
   /// Transactions the commit daemon has fully processed (diagnostics).
   std::uint64_t committed_count() const { return committed_count_; }
+
+ protected:
+  /// Drain the WAL completely: force-pump and advance past visibility
+  /// timeouts until the queue is empty. Mutates the simulated clock.
+  void do_quiesce() override;
 
  private:
   /// A transaction whose S3 promotion is done and whose SimpleDB writes are

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cloudprov/consistency_read.hpp"
+#include "cloudprov/lsb/lsb_backend.hpp"
 #include "cloudprov/sdb_backend.hpp"
 #include "cloudprov/serialize.hpp"
 #include "cloudprov/session.hpp"
@@ -515,6 +516,105 @@ TEST(SessionTest, ArchThreeGroupLogRidesBatchedSends) {
   const std::uint64_t per_close = sends(1);
   const std::uint64_t grouped = sends(10);
   EXPECT_GE(per_close, grouped * 5);
+}
+
+// --- commit-daemon maintenance runs on its own actor, off the close ---
+
+/// Arch 3 draining its WAL after every close, or Arch 4 publishing its
+/// index every other close and cleaning every few segments: maintenance
+/// runs after most groups.
+std::unique_ptr<ProvenanceBackend> eager_maintenance_backend(
+    Architecture arch, CloudServices& services) {
+  if (arch == Architecture::kS3SimpleDbSqs) {
+    WalBackendConfig cfg;
+    cfg.commit_threshold = 1;
+    return make_wal_backend(services, cfg);
+  }
+  LsbBackendConfig cfg;
+  cfg.index_publish_entries = 2;
+  cfg.compact_trigger_segments = 4;
+  return make_lsb_backend(services, cfg);
+}
+
+/// One client submitting `closes` closes at group 1, synced.
+std::vector<Ticket> run_sequential_closes(ProvenanceBackend& backend,
+                                          int closes) {
+  auto session = backend.open_session(SessionConfig{});
+  std::vector<Ticket> tickets;
+  for (int i = 0; i < closes; ++i)
+    tickets.push_back(session->submit(
+        file_unit("f" + std::to_string(i % 5), 1 + i / 5, "payload")));
+  EXPECT_TRUE(session->sync().has_value());
+  return tickets;
+}
+
+sim::SimTime counter_value(aws::CloudEnv& env, const char* name) {
+  return env.metrics().counter(name).value();
+}
+
+TEST(SessionTest, MaintenanceChargesNoClose) {
+  for (const Architecture arch :
+       {Architecture::kS3SimpleDbSqs, Architecture::kS3SegmentLog}) {
+    aws::CloudEnv env(22, aws::ConsistencyConfig::strong());
+    CloudServices services(env);
+    auto backend = eager_maintenance_backend(arch, services);
+    // (Creating the backend's domains already waited on SimpleDB.)
+    const sim::SimTime start = env.elapsed_time();
+    const sim::SimTime start_sdb = env.elapsed_by_service()["sdb"];
+    const std::vector<Ticket> tickets = run_sequential_closes(*backend, 12);
+
+    // SimpleDB was written, and on these architectures only maintenance
+    // writes it (the WAL drain, the index publication and cleaner).
+    const auto snap = env.meter().snapshot();
+    EXPECT_GT(snap.calls("sdb", "PutAttributes") +
+                  snap.calls("sdb", "BatchPutAttributes"),
+              0u)
+        << to_string(arch);
+    // At group 1 the client's timeline grows only by its closes'
+    // timelines, so it gains exactly their per-service splits: no close
+    // waited on SimpleDB.
+    sim::SimTime closes = 0;
+    for (const Ticket& t : tickets) closes += t.elapsed();
+    EXPECT_EQ(env.elapsed_time() - start, closes) << to_string(arch);
+    EXPECT_EQ(env.elapsed_by_service()["sdb"], start_sdb) << to_string(arch);
+  }
+}
+
+TEST(SessionTest, MaintenanceActorConservesEveryCharge) {
+  for (const Architecture arch :
+       {Architecture::kS3SimpleDbSqs, Architecture::kS3SegmentLog}) {
+    aws::CloudEnv env(23, aws::ConsistencyConfig::strong());
+    CloudServices services(env);
+    auto backend = eager_maintenance_backend(arch, services);
+    run_sequential_closes(*backend, 12);
+    backend->quiesce();
+
+    // Every charge lands on the client's timeline or the actor's, never
+    // both; the client's only other time is its wait at the join.
+    const sim::SimTime busy = counter_value(env, "maintenance.busy_us");
+    const sim::SimTime wait = counter_value(env, "idle.maintenance_wait_us");
+    EXPECT_GT(busy, 0u) << to_string(arch);
+    EXPECT_EQ(env.elapsed_time() - wait + busy, env.busy_time())
+        << to_string(arch);
+  }
+}
+
+TEST(SessionTest, QuiesceWaitsForTheMaintenanceActor) {
+  for (const Architecture arch :
+       {Architecture::kS3SimpleDbSqs, Architecture::kS3SegmentLog}) {
+    aws::CloudEnv env(24, aws::ConsistencyConfig::strong());
+    CloudServices services(env);
+    auto backend = eager_maintenance_backend(arch, services);
+    run_sequential_closes(*backend, 12);
+    backend->quiesce();
+
+    // The client cannot finish before the actor's work, nor later than
+    // the serial sum of every charge.
+    const sim::SimTime busy = counter_value(env, "maintenance.busy_us");
+    EXPECT_GT(busy, 0u) << to_string(arch);
+    EXPECT_GE(env.elapsed_time(), busy) << to_string(arch);
+    EXPECT_LE(env.elapsed_time(), env.busy_time()) << to_string(arch);
+  }
 }
 
 }  // namespace

@@ -2,17 +2,21 @@
 // commit daemon with interleaved submits, syncs, read-your-writes reads,
 // duplicate (object, version) closes across sessions, and sessions dropped
 // without sync. Runs under the TSan job via the test glob -- the point is
-// that the daemon's single-flusher token and the two-flag ticket
-// publication hold up under genuine parallelism, not just the simulated
-// kind.
+// that the daemon's single-flusher token, the two-flag ticket publication
+// and the maintenance actor's timeline (written by whichever thread
+// flushes, read at the quiesce() join) hold up under genuine parallelism,
+// not just the simulated kind.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cloudprov/lsb/lsb_backend.hpp"
 #include "cloudprov/sdb_backend.hpp"
 #include "cloudprov/session.hpp"
+#include "cloudprov/wal_backend.hpp"
 #include "util/bytes.hpp"
 
 namespace {
@@ -20,6 +24,7 @@ namespace {
 using namespace provcloud::cloudprov;
 namespace aws = provcloud::aws;
 namespace pass = provcloud::pass;
+namespace sim = provcloud::sim;
 namespace util = provcloud::util;
 
 pass::FlushUnit file_unit(const std::string& object, std::uint32_t version,
@@ -164,6 +169,80 @@ TEST(SessionConcurrentTest, DroppedSessionsDoNotPoisonConcurrentSyncs) {
         EXPECT_TRUE(got->verified) << object;
       }
     }
+}
+
+TEST(SessionConcurrentTest, MaintenanceActorJoinsAfterManyFlushers) {
+  // Arch 3 draining its WAL after every group and Arch 4 publishing and
+  // cleaning every few groups: whichever thread flushes runs the
+  // maintenance step, and one thread joins the actor at the end.
+  for (const Architecture arch :
+       {Architecture::kS3SimpleDbSqs, Architecture::kS3SegmentLog}) {
+    aws::CloudEnv env(93, aws::ConsistencyConfig::strong());
+    CloudServices services(env);
+    std::unique_ptr<ProvenanceBackend> backend;
+    if (arch == Architecture::kS3SimpleDbSqs) {
+      WalBackendConfig cfg;
+      cfg.commit_threshold = 1;
+      backend = make_wal_backend(services, cfg);
+    } else {
+      LsbBackendConfig cfg;
+      cfg.index_publish_entries = 4;
+      cfg.compact_trigger_segments = 6;
+      backend = make_lsb_backend(services, cfg);
+    }
+
+    auto worker = [&backend](int tid) {
+      for (int s = 0; s < kSessionsPerThread; ++s) {
+        auto session = backend->open_session(
+            SessionConfig{.client_id = "client-" + std::to_string(tid),
+                          .max_group = 2});
+        std::vector<Ticket> tickets;
+        for (int c = 0; c < kClosesPerSession; ++c)
+          tickets.push_back(session->submit(file_unit(
+              "m/t" + std::to_string(tid) + "/s" + std::to_string(s) + "/f" +
+                  std::to_string(c),
+              1, "x")));
+        EXPECT_TRUE(session->sync().has_value());
+        for (const Ticket& t : tickets) EXPECT_TRUE(t.ok());
+      }
+    };
+    // A joiner races the flushers: it reads the actor's timeline while
+    // other threads keep advancing it under the flush token.
+    std::atomic<bool> workers_done{false};
+    std::thread joiner([&] {
+      const std::shared_ptr<CommitDaemon> daemon = backend->commit_daemon(
+          &env.latency_ledger(), &env.clock(), &env.tracer(), &env.metrics());
+      while (!workers_done.load()) {
+        daemon->join_maintenance();
+        std::this_thread::yield();
+      }
+    });
+    std::vector<std::thread> threads;
+    for (int tid = 0; tid < kThreads; ++tid) threads.emplace_back(worker, tid);
+    for (std::thread& t : threads) t.join();
+    workers_done.store(true);
+    joiner.join();
+
+    // This thread charged nothing yet: the join makes it wait for the
+    // whole actor, which cannot end later than the serial sum.
+    backend->quiesce();
+    const sim::SimTime busy =
+        env.metrics().counter("maintenance.busy_us").value();
+    EXPECT_GT(busy, 0u) << to_string(arch);
+    EXPECT_GE(env.elapsed_time(), busy) << to_string(arch);
+    EXPECT_LE(env.elapsed_time(), env.busy_time()) << to_string(arch);
+
+    for (int tid = 0; tid < kThreads; ++tid)
+      for (int s = 0; s < kSessionsPerThread; ++s)
+        for (int c = 0; c < kClosesPerSession; ++c) {
+          const std::string object = "m/t" + std::to_string(tid) + "/s" +
+                                     std::to_string(s) + "/f" +
+                                     std::to_string(c);
+          const auto got = backend->read(object);
+          ASSERT_TRUE(got.has_value()) << object;
+          EXPECT_TRUE(got->verified) << object;
+        }
+  }
 }
 
 }  // namespace

@@ -235,7 +235,10 @@ INSTANTIATE_TEST_SUITE_P(
         DaemonCrashCase{"commitd.mid_message_delete",
                         "8-byte object <A3-74 F1-8D 8C-55 00-00>"},
         DaemonCrashCase{"commitd.before_temp_delete",
-                        "8-byte object <73-02 F4-8D 8C-55 00-00>"}));
+                        "8-byte object <73-02 F4-8D 8C-55 00-00>"},
+        // The first point of the maintenance step the commit daemon runs
+        // after the close's group: the close is already durable in the log.
+        DaemonCrashCase{"commitd.begin", "commitd.begin"}));
 
 // --- sampling SQS: the daemon must cope with partial receives ---
 
