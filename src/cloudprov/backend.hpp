@@ -115,10 +115,10 @@ struct TicketState;
 class CommitDaemon;
 class DomainTopology;
 
-/// Per-client session knobs (see ProvenanceBackend::open_session). The one
-/// typed home of every batching knob: group size, flush deadline and the
-/// SimpleDB batch width all ride here, so a session fully describes how its
-/// closes may be coalesced.
+/// Per-client session knobs (see ProvenanceBackend::open_session): the
+/// group size and flush deadline, which together say how a session's closes
+/// may be coalesced. How a group reaches the services (the SimpleDB batch
+/// width, the shard layout) belongs to the backend's own config.
 struct SessionConfig {
   /// Names the client the session belongs to (diagnostics; each session is
   /// driven from one thread, but many sessions may share a backend).
@@ -138,10 +138,6 @@ struct SessionConfig {
   /// deadline batching trades elapsed time for round trips, and the ledger
   /// shows it. 0 disables the deadline (flush only on group-full or sync).
   sim::SimTime flush_deadline = 0;
-  /// Items per BatchPutAttributes call when this session's groups hit
-  /// SimpleDB directly (Arch 2). 0 inherits the backend's configured batch
-  /// width; 1 forces the legacy one-PutAttributes-per-chunk path.
-  std::size_t batch_size = 0;
 
   /// The group size with the zero default resolved (never 0).
   std::size_t resolved_group() const { return max_group > 0 ? max_group : 1; }

@@ -1,4 +1,5 @@
-// The MD5+nonce consistency read loop shared by Architectures 2 and 3.
+// The MD5+nonce consistency read loop shared by Architectures 2 and 3, and
+// the SimpleDB item writers every SimpleDB-backed architecture shares.
 //
 // Both store data in S3 (metadata: the nonce) and provenance in SimpleDB
 // (one attribute: MD5(data || nonce)). Under eventual consistency S3 can
@@ -58,5 +59,23 @@ BackendResult<std::vector<pass::ProvenanceRecord>> fetch_sdb_provenance(
     CloudServices& services, const DomainTopology& topology,
     const std::string& object, std::uint32_t version,
     std::uint32_t max_retries);
+
+// The SimpleDB item writers. Both fire `crash_point` (null: none) after
+// every call and fail loudly on a failed call or a rejected item (a
+// rejection is a size or pair-limit violation no retry can fix).
+
+/// One item in PutAttributes calls of <= 100 attributes each (the paper's
+/// per-close protocol).
+void put_item_chunks(CloudServices& services, const std::string& domain,
+                     const std::string& item,
+                     const std::vector<aws::SdbReplaceableAttribute>& attrs,
+                     const char* crash_point);
+
+/// Items of one domain in BatchPutAttributes calls of <= `batch_size`
+/// (<= 25) items each, in input order. A repeated item name rides a later
+/// call -- one call rejects duplicates -- so the later write lands last.
+void batch_put_items(CloudServices& services, const std::string& domain,
+                     std::vector<aws::SdbBatchEntry> entries,
+                     std::size_t batch_size, const char* crash_point);
 
 }  // namespace provcloud::cloudprov

@@ -37,8 +37,6 @@ LsbBackend::LsbBackend(CloudServices& services, LsbBackendConfig config)
                                                     util::kKiB);
   config_.index_publish_entries =
       std::max<std::size_t>(config_.index_publish_entries, 1);
-  config_.batch_size = std::clamp<std::size_t>(config_.batch_size, 1,
-                                               aws::kSdbMaxItemsPerBatch);
   config_.compact_max_segments =
       std::max<std::size_t>(config_.compact_max_segments, 1);
   topology_ = DomainTopology::make(
@@ -80,89 +78,87 @@ void LsbBackend::commit_group(const std::vector<TicketState*>& group,
   if (group.empty()) return;
   env.failures().crash_point("lsb.seal.begin");
 
-  // Encode each close up front; submit order is causal order, and the log
-  // preserves it, so a crash can only ever lose a suffix of the group.
-  struct Encoded {
-    TicketState* ticket = nullptr;
-    lsb::SegmentEntry entry;
-    std::string bytes;
-  };
-  std::vector<Encoded> closes;
-  closes.reserve(group.size());
+  // Submit order is causal order, and the log preserves it, so a crash can
+  // only ever lose a suffix of the group.
+  std::vector<lsb::SegmentEntry> entries;
+  entries.reserve(group.size());
   for (TicketState* ticket : group) {
     const pass::FlushUnit& unit = ticket->unit;
-    Encoded e;
-    e.ticket = ticket;
-    e.entry.id = pass::ObjectVersion{unit.object, unit.version};
-    e.entry.kind = unit.kind;
+    lsb::SegmentEntry& e = entries.emplace_back();
+    e.id = pass::ObjectVersion{unit.object, unit.version};
+    e.kind = unit.kind;
     if (unit.kind == pass::PnodeKind::kFile)
-      e.entry.data = unit.data != nullptr ? unit.data : kEmptyBytes;
-    e.entry.records = unit.records;
-    e.bytes = lsb::encode_entry(e.entry);
-    closes.push_back(std::move(e));
+      e.data = unit.data != nullptr ? unit.data : kEmptyBytes;
+    e.records = unit.records;
   }
 
-  // Seal cap-sized runs, one S3 PUT each. Each run's tickets are done the
-  // moment their segment object lands: data and provenance of every close
-  // in it became durable in that single call.
-  std::size_t start = 0;
-  while (start < closes.size()) {
-    std::size_t end = start;
-    std::size_t run_bytes = 0;
-    while (end < closes.size() &&
-           (end == start ||
-            run_bytes + closes[end].bytes.size() <= config_.segment_cap_bytes)) {
-      run_bytes += closes[end].bytes.size();
-      ++end;
-    }
+  // Each run's tickets are done the moment their segment object lands: data
+  // and provenance of every close in it became durable in that single call.
+  seal_runs(entries, "lsb.seal.after_put", [&](SealedRun& run) {
+    for (std::size_t i = run.begin; i < run.end; ++i) group[i]->done = true;
+    for (const lsb::Posting& p : run.postings)
+      index_entry_locked(p.first, p.second);
+    std::vector<lsb::Posting>& pending = pending_postings_[run.id];
+    pending.insert(pending.end(), run.postings.begin(), run.postings.end());
+    pending_posting_count_ += run.postings.size();
+    hydrated_ = true;
+    seal_entries_->record(run.end - run.begin);
+  });
+}
 
-    std::uint64_t id = 0;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      id = next_segment_id_++;
-    }
-    std::string blob = lsb::segment_header(id);
-    std::vector<lsb::Posting> postings;
-    postings.reserve(end - start);
-    for (std::size_t i = start; i < end; ++i) {
-      const Encoded& e = closes[i];
-      lsb::EntryLocation loc;
-      loc.segment = id;
-      loc.offset = blob.size();
-      loc.length = e.bytes.size();
-      loc.data_bytes = e.entry.data != nullptr ? e.entry.data->size() : 0;
-      blob += e.bytes;
-      postings.emplace_back(e.entry.id, loc);
-    }
-
+void LsbBackend::seal_runs(const std::vector<lsb::SegmentEntry>& entries,
+                           const char* crash_point,
+                           const std::function<void(SealedRun&)>& on_sealed) {
+  aws::CloudEnv& env = *services_->env;
+  SealedRun run;
+  std::string blob;
+  std::size_t run_bytes = 0;
+  const auto seal = [&] {
     obs::Span span(&env.tracer(), "lsb.seal", "lsb");
-    span.arg("segment", id);
-    span.arg("closes", static_cast<std::uint64_t>(end - start));
+    span.arg("segment", run.id);
+    span.arg("closes", static_cast<std::uint64_t>(run.end - run.begin));
     span.arg("bytes", static_cast<std::uint64_t>(blob.size()));
-    auto put = services_->s3.put(lsb::kSegmentBucket, lsb::segment_key(id),
-                                 blob);
+    auto put = services_->s3.put(lsb::kSegmentBucket,
+                                 lsb::segment_key(run.id), blob);
     PROVCLOUD_REQUIRE_MSG(put.has_value(),
                           "segment PUT failed: " + put.error().message);
-    env.failures().crash_point("lsb.seal.after_put");
-
-    for (std::size_t i = start; i < end; ++i) closes[i].ticket->done = true;
+    env.failures().crash_point(crash_point);
+    run.bytes = blob.size();
     {
       std::lock_guard<std::mutex> lk(mu_);
-      SegmentInfo& info = segments_[id];
-      info.bytes = blob.size();
-      info.entries = end - start;
-      for (const lsb::Posting& p : postings) index_entry_locked(p.first,
-                                                                p.second);
-      std::vector<lsb::Posting>& pending = pending_postings_[id];
-      pending.insert(pending.end(), postings.begin(), postings.end());
-      pending_posting_count_ += postings.size();
-      hydrated_ = true;
+      SegmentInfo& info = segments_[run.id];
+      info.bytes = run.bytes;
+      info.entries = run.end - run.begin;
+      on_sealed(run);
     }
     seal_count_->add(1);
-    seal_bytes_->add(blob.size());
-    seal_entries_->record(end - start);
-    start = end;
+    seal_bytes_->add(run.bytes);
+  };
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    std::string bytes = lsb::encode_entry(entries[i]);
+    if (i > run.begin &&
+        run_bytes + bytes.size() > config_.segment_cap_bytes) {
+      seal();
+      run = SealedRun{};
+      run.begin = i;
+      run_bytes = 0;
+    }
+    if (i == run.begin) {
+      std::lock_guard<std::mutex> lk(mu_);
+      run.id = next_segment_id_++;
+      blob = lsb::segment_header(run.id);
+    }
+    lsb::EntryLocation loc;
+    loc.segment = run.id;
+    loc.offset = blob.size();
+    loc.length = bytes.size();
+    loc.data_bytes = entries[i].data != nullptr ? entries[i].data->size() : 0;
+    run.postings.emplace_back(entries[i].id, loc);
+    run_bytes += bytes.size();
+    blob += bytes;
+    run.end = i + 1;
   }
+  if (!entries.empty()) seal();
 }
 
 void LsbBackend::index_entry_locked(const pass::ObjectVersion& id,
@@ -291,7 +287,7 @@ void LsbBackend::publish_index() {
     std::lock_guard<std::mutex> lk(mu_);
     mark = std::max(indexed_to_, batch.rbegin()->first);
   }
-  write_meta(lsb::kIndexedToAttr, mark);
+  write_meta({{lsb::kIndexedToAttr, mark}});
   env.failures().crash_point("lsb.index.after_mark");
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -304,7 +300,6 @@ void LsbBackend::publish_index() {
 void LsbBackend::publish_postings(
     const std::map<std::uint64_t, std::vector<lsb::Posting>>& by_segment,
     const char* crash_name) {
-  aws::CloudEnv& env = *services_->env;
   // Pack each segment's postings into chunk items; identical input always
   // repacks identically, so a post-crash republish overwrites the surviving
   // chunk items with the same bytes (replace semantics).
@@ -330,23 +325,8 @@ void LsbBackend::publish_postings(
   topology_->for_each_domain([&](std::size_t, const std::string& domain) {
     auto it = by_domain.find(domain);
     if (it == by_domain.end()) return;
-    const std::vector<aws::SdbBatchEntry>& entries = it->second;
-    for (std::size_t start = 0; start < entries.size();
-         start += config_.batch_size) {
-      const std::size_t end =
-          std::min(start + config_.batch_size, entries.size());
-      std::vector<aws::SdbBatchEntry> call(
-          entries.begin() + static_cast<std::ptrdiff_t>(start),
-          entries.begin() + static_cast<std::ptrdiff_t>(end));
-      auto put = services_->sdb.batch_put_attributes(domain, call);
-      PROVCLOUD_REQUIRE_MSG(
-          put.has_value(),
-          "index BatchPutAttributes failed: " + put.error().message);
-      PROVCLOUD_REQUIRE_MSG(put->ok(),
-                            "index BatchPutAttributes rejected item: " +
-                                put->failed.front().error.message);
-      env.failures().crash_point(crash_name);
-    }
+    batch_put_items(*services_, domain, std::move(it->second),
+                    aws::kSdbMaxItemsPerBatch, crash_name);
   });
 
   std::lock_guard<std::mutex> lk(mu_);
@@ -356,12 +336,30 @@ void LsbBackend::publish_postings(
   }
 }
 
-void LsbBackend::write_meta(const char* attr, std::uint64_t value) {
-  auto put = services_->sdb.put_attributes(
-      topology_->domains().front(), lsb::kMetaItem,
-      {aws::SdbReplaceableAttribute{attr, std::to_string(value), true}});
-  PROVCLOUD_REQUIRE_MSG(put.has_value(),
-                        "meta PutAttributes failed: " + put.error().message);
+void LsbBackend::write_meta(
+    std::initializer_list<std::pair<const char*, std::uint64_t>> marks) {
+  std::vector<aws::SdbReplaceableAttribute> attrs;
+  for (const auto& [attr, value] : marks)
+    attrs.push_back(
+        aws::SdbReplaceableAttribute{attr, std::to_string(value), true});
+  put_item_chunks(*services_, topology_->domains().front(), lsb::kMetaItem,
+                  attrs, nullptr);
+}
+
+std::optional<LsbBackend::LoadedSegment> LsbBackend::load_segment(
+    std::uint64_t id) {
+  const std::string key = lsb::segment_key(id);
+  aws::AwsResult<aws::S3GetResult> got =
+      services_->s3.get(lsb::kSegmentBucket, key);
+  for (std::uint32_t attempt = 0; !got && attempt < 64; ++attempt) {
+    charge_read_retry(*services_->env);
+    got = services_->s3.get(lsb::kSegmentBucket, key);
+  }
+  if (!got) return std::nullopt;
+  auto seg = lsb::decode_segment(*got->data);
+  PROVCLOUD_REQUIRE_MSG(seg.has_value() && seg->id == id,
+                        "undecodable segment: " + key);
+  return LoadedSegment{std::move(seg->entries), got->data->size()};
 }
 
 // ---------------------------------------------------------------------------
@@ -437,19 +435,11 @@ std::size_t LsbBackend::compact() {
   std::vector<lsb::SegmentEntry> live;
   std::uint64_t victim_bytes = 0;
   for (std::uint64_t id : victims) {
-    aws::AwsResult<aws::S3GetResult> got =
-        services_->s3.get(lsb::kSegmentBucket, lsb::segment_key(id));
-    for (std::uint32_t attempt = 0; !got && attempt < 64; ++attempt) {
-      charge_read_retry(env);
-      got = services_->s3.get(lsb::kSegmentBucket, lsb::segment_key(id));
-    }
-    PROVCLOUD_REQUIRE_MSG(got.has_value(),
+    std::optional<LoadedSegment> seg = load_segment(id);
+    PROVCLOUD_REQUIRE_MSG(seg.has_value(),
                           "cleaner GET failed: " + lsb::segment_key(id));
-    auto seg = lsb::decode_segment(*got->data);
-    PROVCLOUD_REQUIRE_MSG(seg.has_value() && seg->id == id,
-                          "undecodable segment: " + lsb::segment_key(id));
     std::lock_guard<std::mutex> lk(mu_);
-    victim_bytes += got->data->size();
+    victim_bytes += seg->bytes;
     for (lsb::PlacedEntry& placed : seg->entries) {
       auto it = index_.find(placed.entry.id);
       if (it == index_.end() || it->second.segment != id ||
@@ -463,62 +453,19 @@ std::size_t LsbBackend::compact() {
     }
   }
 
-  // Rewrite the survivors into fresh segments (higher ids), exactly like a
-  // seal, and update the in-memory index only once each new object is
-  // durable. Until the watermark advances, both copies exist: a crash
-  // anywhere in between recovers to a consistent (if untrimmed) log.
+  // Rewrite the survivors into fresh segments (higher ids) through the
+  // sealer, and re-home them in the in-memory index only once each new
+  // object is durable. Until the watermark advances, both copies exist: a
+  // crash anywhere in between recovers to a consistent (if untrimmed) log.
   std::map<std::uint64_t, std::vector<lsb::Posting>> new_postings;
   std::uint64_t new_max = 0;
   std::uint64_t new_bytes = 0;
-  std::size_t start = 0;
-  while (start < live.size()) {
-    std::vector<std::string> encoded;
-    std::size_t end = start;
-    std::size_t run_bytes = 0;
-    while (end < live.size()) {
-      std::string bytes = lsb::encode_entry(live[end]);
-      if (end != start && run_bytes + bytes.size() > config_.segment_cap_bytes)
-        break;
-      run_bytes += bytes.size();
-      encoded.push_back(std::move(bytes));
-      ++end;
-    }
-    std::uint64_t id = 0;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      id = next_segment_id_++;
-    }
-    std::string blob = lsb::segment_header(id);
-    std::vector<lsb::Posting> postings;
-    for (std::size_t i = start; i < end; ++i) {
-      lsb::EntryLocation loc;
-      loc.segment = id;
-      loc.offset = blob.size();
-      loc.length = encoded[i - start].size();
-      loc.data_bytes =
-          live[i].data != nullptr ? live[i].data->size() : 0;
-      blob += encoded[i - start];
-      postings.emplace_back(live[i].id, loc);
-    }
-    auto put = services_->s3.put(lsb::kSegmentBucket, lsb::segment_key(id),
-                                 blob);
-    PROVCLOUD_REQUIRE_MSG(put.has_value(),
-                          "cleaner PUT failed: " + put.error().message);
-    env.failures().crash_point("lsb.compact.after_put");
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      SegmentInfo& info = segments_[id];
-      info.bytes = blob.size();
-      info.entries = end - start;
-      for (const lsb::Posting& p : postings) index_[p.first] = p.second;
-    }
-    new_postings[id] = std::move(postings);
-    new_max = id;
-    new_bytes += blob.size();
-    seal_count_->add(1);
-    seal_bytes_->add(blob.size());
-    start = end;
-  }
+  seal_runs(live, "lsb.compact.after_put", [&](SealedRun& run) {
+    for (const lsb::Posting& p : run.postings) index_[p.first] = p.second;
+    new_bytes += run.bytes;
+    new_max = run.id;
+    new_postings[run.id] = std::move(run.postings);
+  });
   if (!new_postings.empty())
     publish_postings(new_postings, "lsb.compact.mid_republish");
 
@@ -545,15 +492,8 @@ std::size_t LsbBackend::compact() {
         break;
     }
   }
-  auto put = services_->sdb.put_attributes(
-      topology_->domains().front(), lsb::kMetaItem,
-      {aws::SdbReplaceableAttribute{lsb::kIndexedToAttr,
-                                    std::to_string(mark_indexed), true},
-       aws::SdbReplaceableAttribute{lsb::kDeleteToAttr,
-                                    std::to_string(mark_delete), true}});
-  PROVCLOUD_REQUIRE_MSG(put.has_value(),
-                        "watermark PutAttributes failed: " +
-                            put.error().message);
+  write_meta({{lsb::kIndexedToAttr, mark_indexed},
+              {lsb::kDeleteToAttr, mark_delete}});
   env.failures().crash_point("lsb.compact.after_watermark");
 
   // Trim: the victims' chunk items and objects. All dead already; deletes
@@ -675,7 +615,6 @@ void LsbBackend::rebuild_from_index() {
 }
 
 void LsbBackend::replay_orphans() {
-  aws::CloudEnv& env = *services_->env;
   std::uint64_t delete_to = 1;
   std::set<std::uint64_t> known;
   {
@@ -711,19 +650,11 @@ void LsbBackend::replay_orphans() {
   // closes become indexed again and their postings re-enter the publish
   // buffer; a duplicated replay is a no-op on both.
   for (std::uint64_t id : replay) {
-    aws::AwsResult<aws::S3GetResult> got =
-        services_->s3.get(lsb::kSegmentBucket, lsb::segment_key(id));
-    for (std::uint32_t attempt = 0; !got && attempt < 64; ++attempt) {
-      charge_read_retry(env);
-      got = services_->s3.get(lsb::kSegmentBucket, lsb::segment_key(id));
-    }
-    if (!got) continue;  // listed but gone: a concurrent trim won the race
-    auto seg = lsb::decode_segment(*got->data);
-    PROVCLOUD_REQUIRE_MSG(seg.has_value() && seg->id == id,
-                          "undecodable segment: " + lsb::segment_key(id));
+    std::optional<LoadedSegment> seg = load_segment(id);
+    if (!seg) continue;  // listed but gone: a concurrent trim won the race
     std::lock_guard<std::mutex> lk(mu_);
     SegmentInfo& info = segments_[id];
-    info.bytes = got->data->size();
+    info.bytes = seg->bytes;
     info.entries = seg->entries.size();
     std::vector<lsb::Posting>& pending = pending_postings_[id];
     pending_posting_count_ -= std::min<std::uint64_t>(pending_posting_count_,

@@ -15,18 +15,29 @@
 // session's commit daemon calls after every flush group on its own
 // maintenance timeline (never a thread of its own, and never on a close's
 // timeline). The cleaner rewrites the live entries of its victim segments
-// (garbage-richest first by default, see CleanerPolicy) into one
-// consolidated segment -- dropping data bytes of superseded file versions,
-// whose records alone stay retrievable, exactly the retention Arch 1-3
-// offer -- republishes their postings, advances the durable delete-to
-// watermark (kivaloo deleteto.c style) and deletes the dead objects.
-// Ancestry walks are bit-identical before and after.
+// (garbage-richest first by default, see CleanerPolicy) into consolidated
+// segments -- dropping data bytes of superseded file versions, whose
+// records alone stay retrievable, exactly the retention Arch 1-3 offer --
+// republishes their postings, advances the durable delete-to watermark
+// (kivaloo deleteto.c style) and deletes the dead objects. Ancestry walks
+// are bit-identical before and after.
+//
+// One sealer writes every segment, for a commit group and for the cleaner
+// alike: it cuts the entries into runs at segment_cap_bytes, encoding each
+// run as it goes, PUTs the run, fires the caller's crash point, and only
+// then hands the durable run to the caller's bookkeeping (tickets and the
+// publish buffer for a group; re-homing and republication for the
+// cleaner).
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cloudprov/backend.hpp"
@@ -62,10 +73,9 @@ struct LsbBackendConfig {
   std::size_t compact_max_segments = 32;
   /// Victim selection (see CleanerPolicy).
   CleanerPolicy cleaner_policy = CleanerPolicy::kGarbageRatio;
-  /// SimpleDB domains the index postings are hashed across.
+  /// SimpleDB domains the index postings are hashed across (published in
+  /// BatchPutAttributes calls of 25 items).
   std::size_t shard_count = 1;
-  /// Items per BatchPutAttributes publication call.
-  std::size_t batch_size = aws::kSdbMaxItemsPerBatch;
   /// Concurrent shard requests (index publication, read_many fan-out).
   std::size_t parallelism = 1;
 };
@@ -155,6 +165,32 @@ class LsbBackend final : public ProvenanceBackend {
     std::uint64_t chunk_items = 0;
   };
 
+  /// One durable segment the sealer wrote: entries [begin, end) of its
+  /// input, at `postings`.
+  struct SealedRun {
+    std::uint64_t id = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::uint64_t bytes = 0;  // the segment object's size
+    std::vector<lsb::Posting> postings;
+  };
+  /// The sealer: cut `entries` into segment_cap_bytes runs, PUT each as a
+  /// fresh segment, hit `crash_point`, then record its SegmentInfo and run
+  /// `on_sealed` under the same lock, so readers see the segment and its
+  /// index entries together.
+  void seal_runs(const std::vector<lsb::SegmentEntry>& entries,
+                 const char* crash_point,
+                 const std::function<void(SealedRun&)>& on_sealed);
+
+  /// A whole segment object as the cleaner and replay read it.
+  struct LoadedSegment {
+    std::vector<lsb::PlacedEntry> entries;
+    std::uint64_t bytes = 0;  // the object's size
+  };
+  /// GET and decode segment `id`, retrying propagation races 64 times
+  /// (each charged like every consistency loop); nullopt if it never shows.
+  std::optional<LoadedSegment> load_segment(std::uint64_t id);
+
   /// Record a durable entry in the in-memory index + latest/garbage
   /// bookkeeping. Later copies of the same (object, version) win.
   void index_entry_locked(const pass::ObjectVersion& id,
@@ -168,7 +204,9 @@ class LsbBackend final : public ProvenanceBackend {
   void publish_postings(
       const std::map<std::uint64_t, std::vector<lsb::Posting>>& by_segment,
       const char* crash_name);
-  void write_meta(const char* attr, std::uint64_t value);
+  /// The durable watermarks: one PutAttributes on the meta item.
+  void write_meta(
+      std::initializer_list<std::pair<const char*, std::uint64_t>> marks);
   /// Full index rebuild from SimpleDB (fresh instance over a used store).
   void rebuild_from_index();
   /// Replay segments the index does not know / purge below delete-to.

@@ -438,13 +438,6 @@ std::unique_ptr<QueryEngine> make_sdb_query_engine(
                                           config);
 }
 
-std::unique_ptr<QueryEngine> make_sdb_query_engine(CloudServices& services,
-                                                   const ShardRouter& router) {
-  SdbQueryConfig config;
-  config.shard_count = router.shard_count();
-  return make_sdb_query_engine(services, config);
-}
-
 std::unique_ptr<QueryEngine> make_sdb_query_engine(
     CloudServices& services, std::shared_ptr<const DomainTopology> topology) {
   SdbQueryConfig config;

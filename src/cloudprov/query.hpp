@@ -98,15 +98,10 @@ struct SdbQueryConfig {
   /// Concurrent per-domain requests for scatter/gather. 1 is sequential.
   std::size_t parallelism = 1;
 };
-class ShardRouter;
 class DomainTopology;
 std::unique_ptr<QueryEngine> make_sdb_query_engine(CloudServices& services);
 std::unique_ptr<QueryEngine> make_sdb_query_engine(CloudServices& services,
                                                    const SdbQueryConfig& config);
-/// Build the engine from the storing backend's router (SdbBackend::router(),
-/// WalBackend::router()), so the shard layout cannot drift out of sync.
-std::unique_ptr<QueryEngine> make_sdb_query_engine(CloudServices& services,
-                                                   const ShardRouter& router);
 /// Share the storing backend's topology outright (SdbBackend::topology(),
 /// WalBackend::topology()): same layout *and* same executor.
 std::unique_ptr<QueryEngine> make_sdb_query_engine(

@@ -1,5 +1,6 @@
 #include "cloudprov/sdb_backend.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <optional>
@@ -132,6 +133,54 @@ BackendResult<ReadResult> consistency_checked_read(
   return best;
 }
 
+void put_item_chunks(CloudServices& services, const std::string& domain,
+                     const std::string& item,
+                     const std::vector<aws::SdbReplaceableAttribute>& attrs,
+                     const char* crash_point) {
+  for (std::size_t start = 0; start < attrs.size();
+       start += aws::kSdbMaxAttrsPerCall) {
+    const std::size_t end =
+        std::min(start + aws::kSdbMaxAttrsPerCall, attrs.size());
+    std::vector<aws::SdbReplaceableAttribute> chunk(
+        attrs.begin() + static_cast<std::ptrdiff_t>(start),
+        attrs.begin() + static_cast<std::ptrdiff_t>(end));
+    auto put = services.sdb.put_attributes(domain, item, chunk);
+    PROVCLOUD_REQUIRE_MSG(put.has_value(),
+                          "PutAttributes failed: " + put.error().message);
+    if (crash_point != nullptr)
+      services.env->failures().crash_point(crash_point);
+  }
+}
+
+void batch_put_items(CloudServices& services, const std::string& domain,
+                     std::vector<aws::SdbBatchEntry> entries,
+                     std::size_t batch_size, const char* crash_point) {
+  const std::size_t limit =
+      std::clamp<std::size_t>(batch_size, 1, aws::kSdbMaxItemsPerBatch);
+  while (!entries.empty()) {
+    std::vector<aws::SdbBatchEntry> call;
+    std::vector<aws::SdbBatchEntry> rest;
+    call.reserve(std::min(limit, entries.size()));
+    for (aws::SdbBatchEntry& e : entries) {
+      const bool fits =
+          call.size() < limit &&
+          std::none_of(call.begin(), call.end(),
+                       [&e](const aws::SdbBatchEntry& c) {
+                         return c.item == e.item;
+                       });
+      (fits ? call : rest).push_back(std::move(e));
+    }
+    auto put = services.sdb.batch_put_attributes(domain, call);
+    PROVCLOUD_REQUIRE_MSG(put.has_value(), "BatchPutAttributes failed: " +
+                                               put.error().message);
+    PROVCLOUD_REQUIRE_MSG(put->ok(), "BatchPutAttributes rejected item: " +
+                                         put->failed.front().error.message);
+    if (crash_point != nullptr)
+      services.env->failures().crash_point(crash_point);
+    entries = std::move(rest);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SdbBackend
 // ---------------------------------------------------------------------------
@@ -156,17 +205,6 @@ std::unique_ptr<Session> SdbBackend::do_open_session(SessionConfig config) {
 void SdbBackend::commit_group(const std::vector<TicketState*>& group,
                               sim::LatencyLedger* ledger) {
   aws::CloudEnv& env = *services_->env;
-
-  // Sessions may narrow the SimpleDB batch width: the smallest nonzero
-  // per-ticket override wins for the whole group (every rider's constraint
-  // is honored); no override inherits the backend's configured width.
-  std::size_t batch_size = 0;
-  for (const TicketState* ticket : group)
-    if (ticket->batch_size > 0)
-      batch_size = batch_size == 0 ? ticket->batch_size
-                                   : std::min(batch_size, ticket->batch_size);
-  if (batch_size == 0) batch_size = config_.batch_size;
-
   struct PreparedUnit {
     TicketState* ticket = nullptr;
     std::string item;
@@ -235,60 +273,31 @@ void SdbBackend::commit_group(const std::vector<TicketState*>& group,
   // (<= 25) items per shard domain, wave by wave -- the cross-close group
   // commit. Legacy path (batch_size == 1): the paper's PutAttributes
   // chunking, one item at a time in submit (causal) order.
-  if (batch_size <= 1) {
-    for (PreparedUnit& p : prepared) {
-      for (std::size_t start = 0; start < p.attributes.size();
-           start += aws::kSdbMaxAttrsPerCall) {
-        const std::size_t end = std::min(start + aws::kSdbMaxAttrsPerCall,
-                                         p.attributes.size());
-        std::vector<aws::SdbReplaceableAttribute> chunk(
-            p.attributes.begin() + static_cast<std::ptrdiff_t>(start),
-            p.attributes.begin() + static_cast<std::ptrdiff_t>(end));
-        auto put = services_->sdb.put_attributes(*p.domain, p.item, chunk);
-        PROVCLOUD_REQUIRE_MSG(put.has_value(),
-                              "PutAttributes failed: " + put.error().message);
-        env.failures().crash_point("sdb.store.mid_putattrs");
-      }
-    }
+  if (config_.batch_size <= 1) {
+    for (const PreparedUnit& p : prepared)
+      put_item_chunks(*services_, *p.domain, p.item, p.attributes,
+                      "sdb.store.mid_putattrs");
   } else {
-    const std::size_t batch_limit =
-        std::min(batch_size, aws::kSdbMaxItemsPerBatch);
     std::size_t max_level = 0;
     for (const PreparedUnit& p : prepared)
       max_level = std::max(max_level, p.level);
     env.metrics().histogram("sdb.causal_waves").record(max_level + 1);
     for (std::size_t level = 0; level <= max_level; ++level) {
-      std::map<std::string, std::vector<PreparedUnit*>> by_domain;
+      std::map<std::string, std::vector<aws::SdbBatchEntry>> by_domain;
       std::size_t wave_items = 0;
       for (PreparedUnit& p : prepared)
         if (p.level == level) {
-          by_domain[*p.domain].push_back(&p);
+          by_domain[*p.domain].push_back(
+              aws::SdbBatchEntry{p.item, std::move(p.attributes)});
           ++wave_items;
         }
       obs::Span wave_span(&env.tracer(), "sdb.wave", "sdb");
       wave_span.arg("level", static_cast<std::uint64_t>(level));
       wave_span.arg("items", static_cast<std::uint64_t>(wave_items));
       wave_span.arg("domains", static_cast<std::uint64_t>(by_domain.size()));
-      for (auto& [domain, items] : by_domain) {
-        for (std::size_t start = 0; start < items.size();
-             start += batch_limit) {
-          const std::size_t end =
-              std::min(start + batch_limit, items.size());
-          std::vector<aws::SdbBatchEntry> entries;
-          entries.reserve(end - start);
-          for (std::size_t i = start; i < end; ++i)
-            entries.push_back(aws::SdbBatchEntry{
-                items[i]->item, std::move(items[i]->attributes)});
-          auto put = services_->sdb.batch_put_attributes(domain, entries);
-          PROVCLOUD_REQUIRE_MSG(
-              put.has_value(),
-              "BatchPutAttributes failed: " + put.error().message);
-          PROVCLOUD_REQUIRE_MSG(put->ok(),
-                                "BatchPutAttributes rejected item: " +
-                                    put->failed.front().error.message);
-          env.failures().crash_point("sdb.store.mid_putattrs");
-        }
-      }
+      for (auto& [domain, entries] : by_domain)
+        batch_put_items(*services_, domain, std::move(entries),
+                        config_.batch_size, "sdb.store.mid_putattrs");
     }
   }
 

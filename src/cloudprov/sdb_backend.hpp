@@ -51,9 +51,7 @@ class SdbBackend final : public ProvenanceBackend {
   /// Cross-close group commit: one BatchPutAttributes chain per group of
   /// closes (per shard domain, in causal waves) instead of one per close,
   /// then the data PUTs in submit order. With a single-close group this is
-  /// bit-for-bit the per-close store() protocol. A session batch_size
-  /// override rides the tickets; the smallest nonzero one wins for the
-  /// whole group (1 forces the legacy PutAttributes-chunk path).
+  /// bit-for-bit the per-close store() protocol.
   void commit_group(const std::vector<TicketState*>& group,
                     sim::LatencyLedger* ledger) override;
   BackendResult<ReadResult> read(const std::string& object,
@@ -78,7 +76,6 @@ class SdbBackend final : public ProvenanceBackend {
   std::shared_ptr<const DomainTopology> topology() const override {
     return topology_;
   }
-  const ShardRouter& router() const { return topology_->router(); }
 
  private:
   CloudServices* services_;

@@ -391,7 +391,6 @@ Ticket Session::submit(const pass::FlushUnit& unit) {
   state->unit = unit;
   state->session_serial = serial_;
   state->max_group = max_group_;
-  state->batch_size = config_.batch_size;
   // A flush deadline is only meaningful when submits may wait for a group.
   if (max_group_ > 1) state->flush_deadline = config_.flush_deadline;
   if (tracing)

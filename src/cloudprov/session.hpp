@@ -110,7 +110,6 @@ struct TicketState {
   // --- the rest written once before enqueue or once at flush claim) ---
   std::uint64_t session_serial = 0;  // owning session, for forget()
   std::size_t max_group = 1;         // owning session's effective group
-  std::size_t batch_size = 0;        // session batch override (0 = backend)
   sim::SimTime flush_deadline = 0;   // relative, from SessionConfig (0 = none)
   sim::SimTime enqueue_time = 0;
   sim::SimTime deadline_at = 0;      // absolute flush deadline (0 = none)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
-#include <set>
 
 #include "cloudprov/consistency_read.hpp"
 #include "cloudprov/serialize.hpp"
@@ -16,6 +15,16 @@ namespace provcloud::cloudprov {
 namespace {
 const util::SharedBytes kEmptyBytes = util::make_shared_bytes(util::Bytes{});
 constexpr const char* kTempCreatedMetaKey = "x-temp-created";
+/// Rounds of ReceiveMessage per pump (each round fetches <= 10 messages from
+/// a shard sample).
+constexpr std::uint32_t kReceiveRounds = 24;
+/// Visibility timeout for WAL receives.
+constexpr sim::SimTime kVisibilityTimeout = 60 * sim::kSecond;
+/// COPY retries against propagation races before deferring the txn.
+constexpr std::uint32_t kCopyRetries = 32;
+/// Cleaner: temp objects older than this are removed (the paper uses SQS's
+/// 4-day retention as the matching bound).
+constexpr sim::SimTime kTempObjectTtl = 4 * sim::kDay;
 }  // namespace
 
 WalBackend::WalBackend(CloudServices& services, WalBackendConfig config)
@@ -27,7 +36,7 @@ WalBackend::WalBackend(CloudServices& services, WalBackendConfig config)
                          .ledger = &services.env->latency_ledger()})) {
   topology_->ensure_domains(services_->sdb);
   auto queue =
-      services_->sqs.create_queue(config_.queue_name, config_.visibility_timeout);
+      services_->sqs.create_queue(config_.queue_name, kVisibilityTimeout);
   PROVCLOUD_REQUIRE(queue.has_value());
   queue_url_ = *queue;
 }
@@ -39,87 +48,13 @@ std::unique_ptr<Session> WalBackend::do_open_session(SessionConfig config) {
       &services_->env->metrics());
 }
 
-void WalBackend::log_transaction(const pass::FlushUnit& unit,
-                                 TicketState* ticket,
-                                 sim::LatencyLedger* ledger) {
-  aws::CloudEnv& env = *services_->env;
-  env.failures().crash_point("wal.store.begin");
-
-  const std::string txid = "tx-" + std::to_string(next_txid_++);
-  const std::string nonce = nonce_for_version(unit.version);
-  const util::SharedBytes data = unit.data != nullptr ? unit.data : kEmptyBytes;
-  const std::string md5 = util::md5_with_nonce(*data, nonce);
-  // Transient pnodes carry no data: no temp object, and the commit daemon
-  // skips the COPY (their provenance lives only in SimpleDB).
-  // The temp name is namespaced by the client's queue: txids count per
-  // client, so two clients closing concurrently would otherwise write the
-  // same ".tmp/tx-n" object and one commit daemon would promote the other
-  // client's data.
-  const bool has_data = unit.kind == pass::PnodeKind::kFile;
-  const std::string temp_key =
-      has_data ? std::string(kTempPrefix) + config_.queue_name + "/" + txid
-               : std::string();
-
-  const std::vector<WalRecord> records =
-      build_transaction(txid, unit, temp_key, nonce, md5);
-
-  // (b) begin record first: it carries the record count the commit daemon
-  // needs to know a transaction is fully present.
-  auto sent = services_->sqs.send_message(queue_url_,
-                                          encode_wal_record(records.front()));
-  PROVCLOUD_REQUIRE_MSG(sent.has_value(),
-                        "WAL send failed: " + sent.error().message);
-  env.failures().crash_point("wal.store.after_begin");
-
-  // (c) the data goes to a temporary S3 object -- it cannot ride the queue
-  // (8 KB limit) -- and a pointer record is logged. The temp PUT is
-  // exclusive to this close: charged to the ticket's timeline so in-flight
-  // closes overlap it.
-  if (has_data) {
-    aws::S3Metadata temp_meta;
-    temp_meta[kTempCreatedMetaKey] = std::to_string(env.clock().now());
-    std::optional<sim::LatencyLedger::ScopedTimeline> bind;
-    if (ledger != nullptr && ticket != nullptr)
-      bind.emplace(*ledger, ticket->timeline);
-    auto temp_put =
-        services_->s3.put_shared(kDataBucket, temp_key, data, temp_meta);
-    PROVCLOUD_REQUIRE_MSG(temp_put.has_value(),
-                          "temp PUT failed: " + temp_put.error().message);
-  }
-  env.failures().crash_point("wal.store.after_temp_put");
-
-  // (c continued), (d): pointer record, provenance chunks, md5 record.
-  for (std::size_t i = 1; i + 1 < records.size(); ++i) {
-    auto s = services_->sqs.send_message(queue_url_,
-                                         encode_wal_record(records[i]));
-    PROVCLOUD_REQUIRE_MSG(s.has_value(),
-                          "WAL send failed: " + s.error().message);
-    env.failures().crash_point("wal.store.mid_records");
-  }
-  env.failures().crash_point("wal.store.before_commit");
-
-  // (e) the commit record seals the transaction.
-  auto commit = services_->sqs.send_message(queue_url_,
-                                            encode_wal_record(records.back()));
-  PROVCLOUD_REQUIRE_MSG(commit.has_value(),
-                        "WAL send failed: " + commit.error().message);
-  if (ticket != nullptr) ticket->done = true;  // the log is durable
-  env.failures().crash_point("wal.store.after_commit");
-}
-
 void WalBackend::commit_group(const std::vector<TicketState*>& group,
                               sim::LatencyLedger* ledger) {
-  if (group.size() <= 1) {
-    // A single-close group is the per-close protocol, message for message.
-    for (TicketState* ticket : group)
-      log_transaction(ticket->unit, ticket, ledger);
-    return;
-  }
-
   aws::CloudEnv& env = *services_->env;
   struct LoggedTxn {
     TicketState* ticket = nullptr;
     std::vector<WalRecord> records;
+    util::SharedBytes data;
     std::string temp_key;
     bool has_data = false;
   };
@@ -130,44 +65,56 @@ void WalBackend::commit_group(const std::vector<TicketState*>& group,
     const pass::FlushUnit& unit = ticket->unit;
     const std::string txid = "tx-" + std::to_string(next_txid_++);
     const std::string nonce = nonce_for_version(unit.version);
-    const util::SharedBytes data =
-        unit.data != nullptr ? unit.data : kEmptyBytes;
-    const std::string md5 = util::md5_with_nonce(*data, nonce);
-    const bool has_data = unit.kind == pass::PnodeKind::kFile;
-    const std::string temp_key =
-        has_data ? std::string(kTempPrefix) + config_.queue_name + "/" + txid
-                 : std::string();
     LoggedTxn txn;
     txn.ticket = ticket;
-    txn.records = build_transaction(txid, unit, temp_key, nonce, md5);
-    txn.temp_key = temp_key;
-    txn.has_data = has_data;
+    txn.data = unit.data != nullptr ? unit.data : kEmptyBytes;
+    // Transient pnodes carry no data: no temp object, and the commit daemon
+    // skips the COPY (their provenance lives only in SimpleDB).
+    // The temp name is namespaced by the client's queue: txids count per
+    // client, so two clients closing concurrently would otherwise write the
+    // same ".tmp/tx-n" object and one commit daemon would promote the other
+    // client's data.
+    txn.has_data = unit.kind == pass::PnodeKind::kFile;
+    if (txn.has_data)
+      txn.temp_key = std::string(kTempPrefix) + config_.queue_name + "/" + txid;
+    txn.records = build_transaction(txid, unit, txn.temp_key, nonce,
+                                    util::md5_with_nonce(*txn.data, nonce));
     txns.push_back(std::move(txn));
   }
 
-  // Up to 10 log records per SQS round trip. `mark` runs after each batch
-  // call lands (before its crash point), so commit sends can retire their
-  // tickets exactly when the log becomes durable.
-  const auto send_batched =
+  // One send step for every record class. A lone close sends each record
+  // with its own SendMessage -- the paper's per-close protocol, message for
+  // message and crash point for crash point; a larger group packs up to 10
+  // records per SendMessageBatch round trip. `mark` runs after each call
+  // lands (before its crash point), so commit sends retire their tickets
+  // exactly when the log becomes durable.
+  const bool lone = txns.size() == 1;
+  const std::size_t per_call = lone ? 1 : aws::kSqsMaxSendBatch;
+  const auto send =
       [&](std::vector<util::Bytes> bodies, const char* point,
           const std::function<void(std::size_t, std::size_t)>& mark) {
-        obs::Span span(&env.tracer(), "wal.send_batch", "wal");
+        // Only batches get a span: a lone close's trace is the per-close one.
+        obs::Span span(lone ? nullptr : &env.tracer(), "wal.send_batch", "wal");
         span.arg("records", static_cast<std::uint64_t>(bodies.size()));
         span.arg("phase", point);
-        for (std::size_t start = 0; start < bodies.size();
-             start += aws::kSqsMaxSendBatch) {
-          const std::size_t end =
-              std::min(start + aws::kSqsMaxSendBatch, bodies.size());
-          std::vector<util::Bytes> chunk(
-              bodies.begin() + static_cast<std::ptrdiff_t>(start),
-              bodies.begin() + static_cast<std::ptrdiff_t>(end));
-          auto sent = services_->sqs.send_message_batch(queue_url_, chunk);
-          PROVCLOUD_REQUIRE_MSG(sent.has_value(),
-                                "WAL batch send failed: " +
-                                    sent.error().message);
-          PROVCLOUD_REQUIRE_MSG(sent->ok(),
-                                "WAL batch send rejected entry: " +
-                                    sent->failed.front().error.message);
+        for (std::size_t start = 0; start < bodies.size(); start += per_call) {
+          const std::size_t end = std::min(start + per_call, bodies.size());
+          if (lone) {
+            auto sent = services_->sqs.send_message(queue_url_, bodies[start]);
+            PROVCLOUD_REQUIRE_MSG(sent.has_value(),
+                                  "WAL send failed: " + sent.error().message);
+          } else {
+            std::vector<util::Bytes> chunk(
+                bodies.begin() + static_cast<std::ptrdiff_t>(start),
+                bodies.begin() + static_cast<std::ptrdiff_t>(end));
+            auto sent = services_->sqs.send_message_batch(queue_url_, chunk);
+            PROVCLOUD_REQUIRE_MSG(sent.has_value(),
+                                  "WAL batch send failed: " +
+                                      sent.error().message);
+            PROVCLOUD_REQUIRE_MSG(sent->ok(),
+                                  "WAL batch send rejected entry: " +
+                                      sent->failed.front().error.message);
+          }
           if (mark) mark(start, end);
           env.failures().crash_point(point);
         }
@@ -179,21 +126,20 @@ void WalBackend::commit_group(const std::vector<TicketState*>& group,
   begins.reserve(txns.size());
   for (const LoggedTxn& txn : txns)
     begins.push_back(encode_wal_record(txn.records.front()));
-  send_batched(std::move(begins), "wal.store.after_begin", nullptr);
+  send(std::move(begins), "wal.store.after_begin", nullptr);
 
-  // (c) temp objects, one PUT per data-bearing close (exclusive to the
-  // close: charged to its ticket's timeline).
+  // (c) the data goes to a temporary S3 object -- it cannot ride the queue
+  // (8 KB limit) -- one PUT per data-bearing close. The temp PUT is
+  // exclusive to its close: charged to the ticket's timeline so in-flight
+  // closes overlap it.
   for (const LoggedTxn& txn : txns) {
     if (txn.has_data) {
       aws::S3Metadata temp_meta;
       temp_meta[kTempCreatedMetaKey] = std::to_string(env.clock().now());
-      const pass::FlushUnit& unit = txn.ticket->unit;
-      const util::SharedBytes data =
-          unit.data != nullptr ? unit.data : kEmptyBytes;
       std::optional<sim::LatencyLedger::ScopedTimeline> bind;
       if (ledger != nullptr) bind.emplace(*ledger, txn.ticket->timeline);
-      auto temp_put =
-          services_->s3.put_shared(kDataBucket, txn.temp_key, data, temp_meta);
+      auto temp_put = services_->s3.put_shared(kDataBucket, txn.temp_key,
+                                               txn.data, temp_meta);
       PROVCLOUD_REQUIRE_MSG(temp_put.has_value(),
                             "temp PUT failed: " + temp_put.error().message);
     }
@@ -206,21 +152,21 @@ void WalBackend::commit_group(const std::vector<TicketState*>& group,
   for (const LoggedTxn& txn : txns)
     for (std::size_t i = 1; i + 1 < txn.records.size(); ++i)
       middles.push_back(encode_wal_record(txn.records[i]));
-  send_batched(std::move(middles), "wal.store.mid_records", nullptr);
+  send(std::move(middles), "wal.store.mid_records", nullptr);
   env.failures().crash_point("wal.store.before_commit");
 
   // (e) the commit records seal the transactions, in submit order: a crash
-  // between batch calls leaves a committed prefix (those closes are
-  // durable) and incomplete suffix transactions the retention reaps.
+  // between calls leaves a committed prefix (those closes are durable) and
+  // incomplete suffix transactions the retention reaps.
   std::vector<util::Bytes> commits;
   commits.reserve(txns.size());
   for (const LoggedTxn& txn : txns)
     commits.push_back(encode_wal_record(txn.records.back()));
-  send_batched(std::move(commits), "wal.store.after_commit",
-               [&](std::size_t start, std::size_t end) {
-                 for (std::size_t i = start; i < end; ++i)
-                   txns[i].ticket->done = true;
-               });
+  send(std::move(commits), "wal.store.after_commit",
+       [&](std::size_t start, std::size_t end) {
+         for (std::size_t i = start; i < end; ++i)
+           txns[i].ticket->done = true;
+       });
 }
 
 void WalBackend::pump() {
@@ -240,7 +186,7 @@ void WalBackend::commit_phase(bool forced) {
   // calls are required to see everything.
   std::map<std::string, WalTransaction> txns;
   std::uint32_t quiet_rounds = 0;
-  for (std::uint32_t round = 0; round < config_.receive_rounds; ++round) {
+  for (std::uint32_t round = 0; round < kReceiveRounds; ++round) {
     auto batch =
         services_->sqs.receive_message(queue_url_, aws::kSqsMaxReceiveBatch);
     if (!batch) break;
@@ -295,7 +241,6 @@ void WalBackend::commit_phase(bool forced) {
   flush_staged(staged);
   env.failures().crash_point("commitd.after_sdb");
   for (const StagedTxn& s : staged) {
-    if (!s.flushed) continue;  // deferred: a later pump retries
     finish_transaction(s);
     ++committed_count_;
   }
@@ -320,7 +265,9 @@ std::optional<WalBackend::StagedTxn> WalBackend::prepare_transaction(
   // the same object (its messages hidden by a visibility timeout while a
   // later pump committed the successor). Its COPY must then be suppressed
   // or it would clobber newer data; its provenance item is still valid and
-  // still stored below.
+  // still stored below. An equal stored version is not newer: a re-store
+  // of the same version must copy, or S3 would keep the earlier submit's
+  // data under this transaction's MD5.
   bool superseded = false;
   for (int attempt = 0; has_data && attempt < 4 && !superseded; ++attempt) {
     auto head = services_->s3.head(kDataBucket, data.object);
@@ -328,7 +275,7 @@ std::optional<WalBackend::StagedTxn> WalBackend::prepare_transaction(
     auto v = head->metadata.find(kVersionMetaKey);
     if (v == head->metadata.end()) continue;
     try {
-      superseded = std::stoul(v->second) >= data.version;
+      superseded = std::stoul(v->second) > data.version;
     } catch (...) {
     }
   }
@@ -338,7 +285,7 @@ std::optional<WalBackend::StagedTxn> WalBackend::prepare_transaction(
   meta[kVersionMetaKey] = std::to_string(data.version);
   bool copied = false;
   for (std::uint32_t attempt = 0;
-       has_data && !superseded && attempt <= config_.copy_retries; ++attempt) {
+       has_data && !superseded && attempt <= kCopyRetries; ++attempt) {
     auto copy = services_->s3.copy(kDataBucket, data.temp_key, kDataBucket,
                                    data.object, aws::MetadataDirective::kReplace,
                                    meta);
@@ -408,20 +355,8 @@ std::optional<WalBackend::StagedTxn> WalBackend::prepare_transaction(
 void WalBackend::flush_staged(std::vector<StagedTxn>& staged) {
   if (config_.batch_size <= 1) {
     // Legacy path: one PutAttributes per 100-attribute chunk per item.
-    for (StagedTxn& s : staged) {
-      for (std::size_t start = 0; start < s.attributes.size();
-           start += aws::kSdbMaxAttrsPerCall) {
-        const std::size_t end =
-            std::min(start + aws::kSdbMaxAttrsPerCall, s.attributes.size());
-        std::vector<aws::SdbReplaceableAttribute> chunk(
-            s.attributes.begin() + static_cast<std::ptrdiff_t>(start),
-            s.attributes.begin() + static_cast<std::ptrdiff_t>(end));
-        auto put = services_->sdb.put_attributes(s.domain, s.item, chunk);
-        PROVCLOUD_REQUIRE_MSG(put.has_value(),
-                              "PutAttributes failed: " + put.error().message);
-      }
-      s.flushed = true;
-    }
+    for (const StagedTxn& s : staged)
+      put_item_chunks(*services_, s.domain, s.item, s.attributes, nullptr);
     return;
   }
 
@@ -430,52 +365,19 @@ void WalBackend::flush_staged(std::vector<StagedTxn>& staged) {
   // the topology (SimpleDB throttles per domain, so independent domains'
   // round trips overlap; parallelism == 1 walks the groups in domain order
   // exactly as before). A replayed transaction can stage the same item
-  // twice; duplicates split into the next call because a single
-  // BatchPutAttributes rejects repeated item names.
-  std::map<std::string, std::vector<StagedTxn*>> by_domain;
-  for (StagedTxn& s : staged) by_domain[s.domain].push_back(&s);
+  // twice; the writer splits duplicates into a later call.
+  std::map<std::string, std::vector<aws::SdbBatchEntry>> by_domain;
+  for (StagedTxn& s : staged)
+    by_domain[s.domain].push_back(
+        aws::SdbBatchEntry{s.item, std::move(s.attributes)});
   std::vector<std::function<void()>> tasks;
   tasks.reserve(by_domain.size());
-  for (auto& [domain, group] : by_domain) {
-    const std::string* d = &domain;
-    std::vector<StagedTxn*>* g = &group;
-    tasks.push_back([this, d, g] { flush_domain_batches(*d, *g); });
-  }
+  for (auto& [domain, entries] : by_domain)
+    tasks.push_back([this, &domain, &entries] {
+      batch_put_items(*services_, domain, std::move(entries),
+                      config_.batch_size, nullptr);
+    });
   topology_->run_tasks(std::move(tasks));
-}
-
-void WalBackend::flush_domain_batches(const std::string& domain,
-                                      std::vector<StagedTxn*>& group) {
-  const std::size_t batch_limit =
-      std::min(config_.batch_size, aws::kSdbMaxItemsPerBatch);
-  std::vector<StagedTxn*> pending(group.begin(), group.end());
-  while (!pending.empty()) {
-    std::vector<StagedTxn*> call;
-    std::vector<StagedTxn*> rest;
-    std::set<std::string> names;
-    for (StagedTxn* s : pending) {
-      if (call.size() < batch_limit && names.insert(s->item).second)
-        call.push_back(s);
-      else
-        rest.push_back(s);
-    }
-    std::vector<aws::SdbBatchEntry> entries;
-    entries.reserve(call.size());
-    for (StagedTxn* s : call)
-      // Moving is safe: a deferred transaction is re-prepared from its WAL
-      // records on the next pump, never re-flushed from this staging.
-      entries.push_back(aws::SdbBatchEntry{s->item, std::move(s->attributes)});
-    auto put = services_->sdb.batch_put_attributes(domain, entries);
-    PROVCLOUD_REQUIRE_MSG(put.has_value(), "BatchPutAttributes failed: " +
-                                               put.error().message);
-    // Per-item rejections are deterministic validation failures (size and
-    // pair limits): retrying cannot succeed, so fail as loudly as the
-    // legacy PutAttributes path instead of deferring forever.
-    PROVCLOUD_REQUIRE_MSG(put->ok(), "BatchPutAttributes rejected item: " +
-                                         put->failed.front().error.message);
-    for (StagedTxn* s : call) s->flushed = true;
-    pending = std::move(rest);
-  }
 }
 
 void WalBackend::finish_transaction(const StagedTxn& staged) {
@@ -515,7 +417,7 @@ void WalBackend::do_quiesce() {
     // that virtual time passes, so the wait lands on its ledger timeline as
     // "idle" -- leaving it uncharged flattered Arch 3's elapsed numbers
     // (the daemon's wakeup cadence looked free).
-    const sim::SimTime visibility = config_.visibility_timeout;
+    const sim::SimTime visibility = kVisibilityTimeout;
     const sim::SimTime wakeup =
         env.consistency().propagation_max + sim::kSecond;
     env.latency_ledger().charge(visibility + wakeup, "idle");
@@ -545,7 +447,7 @@ void WalBackend::clean_temp_objects() {
       } catch (...) {
         continue;
       }
-      if (now >= created && now - created >= config_.temp_object_ttl) {
+      if (now >= created && now - created >= kTempObjectTtl) {
         auto del = services_->s3.del(kDataBucket, key);
         (void)del;
       }

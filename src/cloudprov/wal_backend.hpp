@@ -11,6 +11,11 @@
 //      record;
 //   5. enqueue the commit record.
 //
+// commit_group runs these steps for every group through one send step: a
+// lone close sends each record with its own SendMessage (the per-close
+// protocol above, message for message); a larger group packs each record
+// class into SendMessageBatch calls of up to 10.
+//
 // A close is done once its commit record is in the queue. The commit daemon
 // (pump) is a separate actor: the session's CommitDaemon runs it after every
 // flush group on its own maintenance timeline, so no close waits for it. It
@@ -38,16 +43,6 @@ struct WalBackendConfig {
   std::string queue_name = "wal-client-0";
   /// Commit-daemon trigger: ApproximateNumberOfMessages threshold.
   std::uint64_t commit_threshold = 32;
-  /// Rounds of ReceiveMessage per pump (each round fetches <= 10 messages
-  /// from a shard sample).
-  std::uint32_t receive_rounds = 24;
-  /// Visibility timeout for WAL receives.
-  sim::SimTime visibility_timeout = 60 * sim::kSecond;
-  /// COPY retries against propagation races before deferring the txn.
-  std::uint32_t copy_retries = 32;
-  /// Cleaner: temp objects older than this are removed (the paper uses
-  /// SQS's 4-day retention as the matching bound).
-  sim::SimTime temp_object_ttl = 4 * sim::kDay;
   /// SimpleDB domains provenance items are hashed across. 1 keeps the
   /// original single-"provenance"-domain layout bit-identically.
   std::size_t shard_count = 1;
@@ -71,12 +66,12 @@ class WalBackend final : public ProvenanceBackend {
 
   std::unique_ptr<Session> do_open_session(SessionConfig config) override;
   bool supports_group_commit() const override { return true; }
-  /// Cross-close group commit for the log phase: the whole group's WAL
-  /// records ride SendMessageBatch calls (10 messages per round trip,
-  /// ordering preserved: begins, temp PUTs, middles, then the sealing
-  /// commits in submit order). A single-close group takes the legacy
-  /// per-message path bit-for-bit. The drain is not part of it: the
-  /// session's commit daemon calls pump() once after every group.
+  /// The log phase for a group of closes, in one order: begins, temp PUTs,
+  /// middles, then the sealing commits in submit order. A single-close
+  /// group sends one SendMessage per record; a larger one rides
+  /// SendMessageBatch calls (10 messages per round trip). The drain is not
+  /// part of it: the session's commit daemon calls pump() once after every
+  /// group.
   void commit_group(const std::vector<TicketState*>& group,
                     sim::LatencyLedger* ledger) override;
   BackendResult<ReadResult> read(const std::string& object,
@@ -92,7 +87,7 @@ class WalBackend final : public ProvenanceBackend {
   void pump() override;
 
   /// Cleaner daemon: delete temp objects of uncommitted transactions older
-  /// than the TTL.
+  /// than the TTL (4 days, SQS's retention).
   void clean_temp_objects();
 
   PropertyClaims claims() const override {
@@ -106,7 +101,6 @@ class WalBackend final : public ProvenanceBackend {
   std::shared_ptr<const DomainTopology> topology() const override {
     return topology_;
   }
-  const ShardRouter& router() const { return topology_->router(); }
   /// Transactions the commit daemon has fully processed (diagnostics).
   std::uint64_t committed_count() const { return committed_count_; }
 
@@ -124,15 +118,7 @@ class WalBackend final : public ProvenanceBackend {
     std::string domain;  // shard the item hashes to
     std::string item;
     std::vector<aws::SdbReplaceableAttribute> attributes;
-    bool flushed = false;
   };
-
-  /// The per-close log phase (the old store() body): begin record, temp
-  /// PUT, provenance chunks, commit record, one message per send. `ticket`
-  /// (nullable) is marked done once the commit record is durable; its
-  /// timeline (when `ledger` is set) receives the temp PUT.
-  void log_transaction(const pass::FlushUnit& unit, TicketState* ticket,
-                       sim::LatencyLedger* ledger);
 
   void commit_phase(bool forced);
   /// Per-transaction front half: COPY/supersede handling, spill PUTs, and
@@ -141,12 +127,8 @@ class WalBackend final : public ProvenanceBackend {
   /// Write every staged transaction's attributes: BatchPutAttributes in
   /// batch_size groups per shard domain, the domains flushed concurrently
   /// on the topology's executor (batch_size == 1: the legacy PutAttributes
-  /// chunk loop). Marks `flushed` per transaction.
+  /// chunk loop).
   void flush_staged(std::vector<StagedTxn>& staged);
-  /// One domain's share of flush_staged: batch_size-sized BatchPutAttributes
-  /// calls over this domain's staged transactions.
-  void flush_domain_batches(const std::string& domain,
-                            std::vector<StagedTxn*>& group);
   /// Per-transaction back half after a successful flush: delete the WAL
   /// messages, then the temp object.
   void finish_transaction(const StagedTxn& staged);

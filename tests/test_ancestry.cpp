@@ -93,10 +93,12 @@ TEST(AncestryTest, TopologicalOrderAncestorsFirst) {
   std::map<pass::ObjectVersion, std::size_t> position;
   for (std::size_t i = 0; i < order.size(); ++i) position[order[i]] = i;
   for (const auto& [id, node] : r.graph.nodes())
-    for (const auto& a : node.ancestors)
-      if (position.count(a) > 0)
+    for (const auto& a : node.ancestors) {
+      if (position.count(a) > 0) {
         EXPECT_LT(position[a], position[id])
             << a.to_string() << " must precede " << id.to_string();
+      }
+    }
 }
 
 TEST(AncestryTest, DotExportContainsNodesAndEdges) {

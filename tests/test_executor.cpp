@@ -94,7 +94,9 @@ TEST(ExecutorTest, FirstExceptionPropagatesAfterBatchCompletes) {
     }
     EXPECT_THROW(ex.run_all(std::move(tasks)), std::runtime_error)
         << "parallelism " << parallelism;
-    if (parallelism > 1) EXPECT_EQ(ran.load(), 10);
+    if (parallelism > 1) {
+      EXPECT_EQ(ran.load(), 10);
+    }
   }
 }
 

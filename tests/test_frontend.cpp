@@ -375,7 +375,9 @@ TEST(OpenLoopTest, ArrivalsReplayBitIdenticallyAndStaySorted) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].at, b[i].at);
     EXPECT_EQ(a[i].tenant, b[i].tenant);
-    if (i > 0) EXPECT_GE(a[i].at, a[i - 1].at);
+    if (i > 0) {
+      EXPECT_GE(a[i].at, a[i - 1].at);
+    }
     EXPECT_LT(a[i].at, options.duration);
     EXPECT_LT(a[i].tenant, options.tenants);
   }

@@ -135,6 +135,8 @@ INSTANTIATE_TEST_SUITE_P(AllArchitectures, PipelineTest,
                              case Architecture::kS3SimpleDb: return "S3SimpleDB";
                              case Architecture::kS3SimpleDbSqs:
                                return "S3SimpleDBSQS";
+                             case Architecture::kS3SegmentLog:
+                               return "S3SegmentLog";
                            }
                            return "unknown";
                          });

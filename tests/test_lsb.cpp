@@ -280,6 +280,37 @@ TEST(LsbBackendTest, CrashedPublicationNeverTearsTheIndex) {
 
 // --- the cleaner ---
 
+TEST(LsbBackendTest, SealCrashPointFiresBeforeAnyBookkeeping) {
+  // One sealer writes the segments of a flush group and of the cleaner;
+  // its crash point sits between the durable PUT and every in-memory
+  // update, so a client that dies there has indexed nothing.
+  aws::CloudEnv env(28, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  LsbBackend backend(services);
+  env.failures().arm_crash("lsb.seal.after_put");
+  EXPECT_THROW(backend.store(file_unit("lost", 1, "sealed")), sim::CrashError);
+  env.failures().disarm("lsb.seal.after_put");
+  EXPECT_FALSE(backend.read("lost").has_value());
+  EXPECT_EQ(backend.stats().segment_count, 0u);
+
+  for (int i = 0; i < 3; ++i)
+    backend.store(file_unit("kept" + std::to_string(i), 1, "kept"));
+  backend.quiesce();
+  const std::uint64_t segments = backend.stats().segment_count;
+  env.failures().arm_crash("lsb.compact.after_put");
+  EXPECT_THROW(backend.compact(), sim::CrashError);
+  env.failures().disarm("lsb.compact.after_put");
+  EXPECT_EQ(backend.stats().segment_count, segments);
+
+  // Replay finds both durable orphans; nothing was lost.
+  backend.recover();
+  auto lost = backend.read("lost");
+  ASSERT_TRUE(lost.has_value());
+  EXPECT_EQ(*lost->data, "sealed");
+  for (int i = 0; i < 3; ++i)
+    ASSERT_TRUE(backend.read("kept" + std::to_string(i)).has_value()) << i;
+}
+
 TEST(LsbBackendTest, CompactionReclaimsGarbageAndPreservesAncestry) {
   aws::CloudEnv env(28, aws::ConsistencyConfig::strong());
   CloudServices services(env);

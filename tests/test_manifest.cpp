@@ -267,7 +267,9 @@ TEST(ManifestReadPathTest, EquivalenceOnRandomizedWorkload) {
   // SimpleDB traffic is at most the catalog read per walk plus tail
   // fallbacks, never more than the scatter walk plus the catalog reads.
   EXPECT_LE(manifest_sdb, scatter_sdb + walks);
-  if (lag == 0) EXPECT_LT(manifest_sdb, scatter_sdb);
+  if (lag == 0) {
+    EXPECT_LT(manifest_sdb, scatter_sdb);
+  }
 }
 
 TEST(ManifestReadPathTest, TailFallbackServesPostSnapshotWrites) {

@@ -179,8 +179,11 @@ TEST(SdbCodecTest, MultiValuedInputsDoNotReplace) {
   unit.records = {make_xref_record("INPUT", {"a", 1}),
                   make_xref_record("INPUT", {"b", 1})};
   const SdbEncoding enc = encode_unit_as_attributes(unit);
-  for (const auto& a : enc.attributes)
-    if (a.name == "INPUT") EXPECT_FALSE(a.replace);
+  for (const auto& a : enc.attributes) {
+    if (a.name == "INPUT") {
+      EXPECT_FALSE(a.replace);
+    }
+  }
 }
 
 TEST(SdbCodecTest, OversizedValueSpills) {

@@ -80,7 +80,9 @@ TEST(SessionConcurrentTest, ThreadsShareOneCommitDaemonSafely) {
             session->submit(file_unit("shared/obj", c + 1, "winner-" + mine)));
 
         // Interleave syncs mid-stream, not just at the end.
-        if (c % 3 == 2) EXPECT_TRUE(session->sync().has_value());
+        if (c % 3 == 2) {
+          EXPECT_TRUE(session->sync().has_value());
+        }
       }
       EXPECT_TRUE(session->sync().has_value());
       for (const Ticket& t : tickets) {
@@ -142,9 +144,11 @@ TEST(SessionConcurrentTest, DroppedSessionsDoNotPoisonConcurrentSyncs) {
         // ticket is not necessarily done() the instant reset() returns --
         // but a settled failure must be the crash, nothing else.
         session.reset();
-        for (const Ticket& t : tickets)
-          if (t.done() && !t.ok())
+        for (const Ticket& t : tickets) {
+          if (t.done() && !t.ok()) {
             EXPECT_EQ(t.error().code, BackendErrorCode::kCrashed);
+          }
+        }
       } else {
         EXPECT_TRUE(session->sync().has_value());
         for (const Ticket& t : tickets) EXPECT_TRUE(t.ok());

@@ -77,13 +77,9 @@ struct ShardedWorld {
     env.clock().drain();
     backend->quiesce();
     env.clock().drain();
-    // Build the engine from the backend's own router: the factory that
+    // Build the engine from the backend's own topology: the factory that
     // keeps query and storage shard layouts in lockstep.
-    const ShardRouter& router =
-        arch == Architecture::kS3SimpleDb
-            ? static_cast<SdbBackend*>(backend.get())->router()
-            : static_cast<WalBackend*>(backend.get())->router();
-    engine = make_sdb_query_engine(services, router);
+    engine = make_sdb_query_engine(services, backend->topology());
   }
   aws::CloudEnv env;
   CloudServices services;
@@ -133,7 +129,7 @@ TEST_P(ShardCountCase, ShardedItemsActuallySpreadAcrossDomains) {
 TEST_P(ShardCountCase, ReadPathFollowsTheRouter) {
   const auto [arch, shards] = GetParam();
   ShardedWorld w(arch, shards);
-  for (const std::string& object : {"out/hits0", "out/summary"}) {
+  for (const char* object : {"out/hits0", "out/summary"}) {
     auto got = w.backend->read(object);
     ASSERT_TRUE(got.has_value()) << object;
     EXPECT_TRUE(got->verified) << object;

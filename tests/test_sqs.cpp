@@ -340,11 +340,13 @@ TEST_F(SqsSamplingTest, SeededScriptDeliversPinnedSequence) {
     ASSERT_TRUE(got.has_value());
     for (const auto& m : *got) {
       delivered.push_back(std::stoull(m.message_id.substr(4), nullptr, 16));
-      if (receives++ % 3 != 0)
+      if (receives++ % 3 != 0) {
         ASSERT_TRUE(sqs_.delete_message(url_, m.receipt_handle).has_value());
+      }
     }
-    if (round % 4 == 3)
+    if (round % 4 == 3) {
       ASSERT_TRUE(sqs_.approximate_number_of_messages(url_).has_value());
+    }
     env_.clock().advance_by(15 * sim::kSecond);
   }
   const std::vector<std::uint64_t> pinned = {

@@ -131,8 +131,11 @@ TEST(BuildTransactionTest, ChunkIndexesAreSequential) {
   const FlushUnit unit = sample_unit(100, 800);
   const auto records = build_transaction("tx-1", unit, ".tmp/t", "1", "m");
   std::uint32_t expected = 0;
-  for (const auto& r : records)
-    if (r.kind == WalRecord::Kind::kProv) EXPECT_EQ(r.chunk_index, expected++);
+  for (const auto& r : records) {
+    if (r.kind == WalRecord::Kind::kProv) {
+      EXPECT_EQ(r.chunk_index, expected++);
+    }
+  }
   EXPECT_GT(expected, 1u);
 }
 

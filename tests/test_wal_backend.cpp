@@ -4,6 +4,7 @@
 
 #include "cloudprov/consistency_read.hpp"
 #include "cloudprov/serialize.hpp"
+#include "cloudprov/session.hpp"
 #include "cloudprov/wal_backend.hpp"
 #include "util/md5.hpp"
 
@@ -120,6 +121,30 @@ TEST_F(WalBackendTest, LargeProvenanceChunksAcrossMessages) {
   auto prov = backend_->get_provenance("bigprov", 1);
   ASSERT_TRUE(prov.has_value());
   EXPECT_EQ(prov->size(), 60u);
+}
+
+TEST_F(WalBackendTest, SameVersionRestoreInOneGroupDoesNotTear) {
+  // Two closes of one (object, version) with different data reach one
+  // drain; their items collide, so the flush splits them across calls. The
+  // later close must win on both sides: its data in S3, its MD5 in
+  // SimpleDB -- never the first submit's data under the second's MD5.
+  auto session = backend_->open_session(SessionConfig{.max_group = 2});
+  session->submit(file_unit("dup", 1, "first-payload"));
+  session->submit(file_unit("dup", 1, "second-payload"));
+  ASSERT_TRUE(session->sync().has_value());
+  backend_->quiesce();
+  auto got = backend_->read("dup");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_TRUE(got->verified);
+  EXPECT_EQ(*got->data, "second-payload");
+  auto obj = services_.s3.peek(kDataBucket, "dup");
+  ASSERT_TRUE(obj.has_value());
+  auto item = services_.sdb.peek_item(kProvenanceDomain, "dup:1");
+  ASSERT_TRUE(item.has_value());
+  EXPECT_EQ(item->at(kMd5Attribute).size(), 1u);
+  EXPECT_EQ(
+      item->at(kMd5Attribute).count(util::md5_with_nonce(*obj->data, "1")),
+      1u);
 }
 
 // --- crash behaviour: log phase ---
