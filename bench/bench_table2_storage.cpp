@@ -160,7 +160,7 @@ int main() {
   LsbBackend* lsb = nullptr;
   bench::WorkloadRun lsb_run([&](CloudServices& s) {
     LsbBackendConfig cfg;
-    cfg.compact_trigger_segments = 0;  // measure before/after by hand
+    cfg.auto_clean = false;  // measure before/after by hand
     auto backend = std::make_unique<LsbBackend>(s, cfg);
     lsb = backend.get();
     return backend;
@@ -230,10 +230,9 @@ int main() {
   // -- the sustained-overwrite shape the cleaner exists for.
   lsb_run.run(trace);
   const LsbBackend::SegmentStats before = lsb->stats();
-  // compact() picks victims by garbage ratio (CleanerPolicy::kGarbageRatio
-  // default), so each pass targets the overwrite-heavy segments; stop once
-  // the log is clean (or after a bounded number of passes over a
-  // pathological layout).
+  // compact() picks the segments at least half garbage, richest first, so
+  // each pass targets the overwrite-heavy segments; stop once the log is
+  // clean, no victim is left, or after a bounded number of passes.
   for (int pass = 0; pass < 8 && lsb->stats().garbage_ratio > 0.01; ++pass)
     if (lsb->compact() == 0) break;
   const LsbBackend::SegmentStats after = lsb->stats();

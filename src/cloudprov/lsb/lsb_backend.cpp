@@ -366,17 +366,44 @@ std::optional<LsbBackend::LoadedSegment> LsbBackend::load_segment(
 // Cleaner
 // ---------------------------------------------------------------------------
 
-bool LsbBackend::compact_due_locked() const {
-  return config_.compact_trigger_segments > 0 &&
-         segments_.size() >= config_.compact_trigger_segments;
+LsbBackend::Victims LsbBackend::pick_victims_locked() const {
+  // A victim is at least half garbage, so the live bytes a pass copies never
+  // exceed the garbage it frees; an all-live segment is never rewritten.
+  // Garbage-richest first, ties older-first (stable sort over id order).
+  struct Candidate {
+    std::uint64_t id;
+    std::uint64_t garbage;
+    double ratio;
+  };
+  std::vector<Candidate> candidates;
+  for (const auto& [id, info] : segments_) {
+    if (id < delete_to_) continue;  // crash debris, purged by recover()
+    if (id > indexed_to_) break;
+    if (info.garbage_bytes == 0 || 2 * info.garbage_bytes < info.bytes)
+      continue;
+    candidates.push_back({id, info.garbage_bytes,
+                          static_cast<double>(info.garbage_bytes) /
+                              static_cast<double>(info.bytes)});
+  }
+  std::stable_sort(candidates.begin(), candidates.end(),
+                   [](const Candidate& a, const Candidate& b) {
+                     return a.ratio > b.ratio;
+                   });
+  if (candidates.size() > config_.compact_max_segments)
+    candidates.resize(config_.compact_max_segments);
+  Victims out;
+  for (const Candidate& c : candidates) {
+    out.ids.push_back(c.id);
+    out.garbage += c.garbage;
+  }
+  std::sort(out.ids.begin(), out.ids.end());
+  return out;
 }
 
-const char* to_string(CleanerPolicy policy) {
-  switch (policy) {
-    case CleanerPolicy::kGarbageRatio: return "garbage-ratio";
-    case CleanerPolicy::kOldestFirst: return "oldest-first";
-  }
-  return "?";
+bool LsbBackend::clean_due() const {
+  if (!config_.auto_clean) return false;
+  std::lock_guard<std::mutex> lk(mu_);
+  return pick_victims_locked().garbage >= config_.segment_cap_bytes;
 }
 
 std::size_t LsbBackend::compact() {
@@ -388,39 +415,7 @@ std::size_t LsbBackend::compact() {
   std::vector<std::uint64_t> victims;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    struct Candidate {
-      std::uint64_t id;
-      double ratio;
-    };
-    std::vector<Candidate> candidates;
-    for (const auto& [id, info] : segments_) {
-      if (id < delete_to_) continue;  // crash debris, purged by recover()
-      if (id > indexed_to_) break;
-      candidates.push_back(
-          {id, info.bytes == 0 ? 0.0
-                               : static_cast<double>(info.garbage_bytes) /
-                                     static_cast<double>(info.bytes)});
-    }
-    const bool any_garbage =
-        std::any_of(candidates.begin(), candidates.end(),
-                    [](const Candidate& c) { return c.ratio > 0.0; });
-    if (config_.cleaner_policy == CleanerPolicy::kGarbageRatio &&
-        any_garbage) {
-      // Cost/benefit selection: garbage-richest first (ties older-first via
-      // stable sort), and zero-garbage segments are not worth a rewrite
-      // while richer victims exist.
-      std::stable_sort(candidates.begin(), candidates.end(),
-                       [](const Candidate& a, const Candidate& b) {
-                         return a.ratio > b.ratio;
-                       });
-      while (!candidates.empty() && candidates.back().ratio <= 0.0)
-        candidates.pop_back();
-    }
-    for (const Candidate& c : candidates) {
-      victims.push_back(c.id);
-      if (victims.size() >= config_.compact_max_segments) break;
-    }
-    std::sort(victims.begin(), victims.end());
+    victims = pick_victims_locked().ids;
   }
   if (victims.empty()) return 0;
   env.failures().crash_point("lsb.compact.begin");
@@ -471,11 +466,11 @@ std::size_t LsbBackend::compact() {
 
   // One durable watermark write retires the victims. (indexed-to may only
   // advance when no concurrent seal left unpublished postings in between.)
-  // delete-to may only cover the contiguous dead prefix of the log:
-  // garbage-ratio selection can pick mid-log victims, and a watermark past
-  // a surviving segment would let recover() purge live data. Mid-log
-  // victims are still trimmed below -- a crashed trim leaves at worst an
-  // orphan segment whose entries replay as already-superseded duplicates.
+  // delete-to may only cover the contiguous dead prefix of the log: victims
+  // are picked by garbage, so they can sit mid-log, and a watermark past a
+  // surviving segment would let recover() purge live data. Mid-log victims
+  // are still trimmed below -- a crashed trim leaves at worst an orphan
+  // segment whose entries replay as already-superseded duplicates.
   std::uint64_t mark_indexed = 0;
   std::uint64_t mark_delete = 0;
   {
@@ -686,23 +681,15 @@ void LsbBackend::pump() {
     publish = pending_posting_count_ >= config_.index_publish_entries;
   }
   if (publish) publish_index();
-  bool clean = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    clean = compact_due_locked();
-  }
-  if (clean) compact();
+  if (clean_due()) compact();
 }
 
 void LsbBackend::do_quiesce() {
   publish_index();
-  for (;;) {
-    bool clean = false;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      clean = compact_due_locked();
-    }
-    if (!clean || compact() == 0) break;
+  // A pass drops its victims' garbage and seals only live entries, so every
+  // segment it writes starts with none: the victims' garbage falls strictly
+  // with each pass, and the loop ends.
+  while (clean_due() && compact() > 0) {
   }
 }
 

@@ -14,13 +14,20 @@
 // Index publication and a background cleaner run in pump(), which the
 // session's commit daemon calls after every flush group on its own
 // maintenance timeline (never a thread of its own, and never on a close's
-// timeline). The cleaner rewrites the live entries of its victim segments
-// (garbage-richest first by default, see CleanerPolicy) into consolidated
-// segments -- dropping data bytes of superseded file versions, whose
-// records alone stay retrievable, exactly the retention Arch 1-3 offer --
-// republishes their postings, advances the durable delete-to watermark
-// (kivaloo deleteto.c style) and deletes the dead objects. Ancestry walks
-// are bit-identical before and after.
+// timeline). The cleaner reclaims garbage: superseded copies of a close and
+// the data bytes of superseded file versions, whose records alone stay
+// retrievable, exactly the retention Arch 1-3 offer. Cleaning a segment at
+// utilization u reads 1 and writes u to free 1 - u (Rosenblum & Ousterhout,
+// TOCS 1992), so its victims are the indexed segments that are at least
+// half garbage, richest first: a pass never copies more live bytes than it
+// frees, and a segment with no or thin garbage is never rewritten. It runs
+// once its victims hold a segment's worth of garbage (segment_cap_bytes),
+// rewrites their live entries into fresh segments, republishes their
+// postings, advances the durable delete-to watermark (kivaloo deleteto.c
+// style) and deletes the dead objects. A pass seals only live entries, so
+// every segment it writes starts garbage-free: the victims' garbage falls
+// strictly with each pass, and quiesce()'s cleaning loop ends. Ancestry
+// walks are bit-identical before and after.
 //
 // One sealer writes every segment, for a commit group and for the cleaner
 // alike: it cuts the entries into runs at segment_cap_bytes, encoding each
@@ -46,33 +53,19 @@
 
 namespace provcloud::cloudprov {
 
-/// How the cleaner picks its victims.
-enum class CleanerPolicy {
-  /// Cost/benefit: rewrite the indexed segments with the highest garbage
-  /// fraction first (fewest live bytes copied per byte reclaimed); ties
-  /// break older-first. Falls back to age order when no segment holds
-  /// garbage (consolidation still relieves segment-count pressure).
-  kGarbageRatio,
-  /// Legacy: the oldest contiguous indexed prefix, garbage or not.
-  kOldestFirst,
-};
-
-const char* to_string(CleanerPolicy policy);
-
 /// Storage-path knobs of the log-structured backend.
 struct LsbBackendConfig {
-  /// Seal the open segment early once its encoding would exceed this.
+  /// Seal the open segment early once its encoding would exceed this. Also
+  /// the cleaner's threshold: it runs once a pass would free this much.
   std::size_t segment_cap_bytes = 4 * util::kMiB;
   /// Postings buffered in memory before a SimpleDB index publication (the
   /// LFS checkpoint interval, in closes). quiesce() always drains.
   std::size_t index_publish_entries = 512;
-  /// Live sealed segments before the cleaner consolidates in pump(); 0
-  /// disables automatic cleaning (compact() still works).
-  std::size_t compact_trigger_segments = 64;
+  /// Clean in pump() and quiesce() once the victims hold segment_cap_bytes
+  /// of garbage; false leaves cleaning to explicit compact() calls.
+  bool auto_clean = true;
   /// Most segments one cleaner pass rewrites.
   std::size_t compact_max_segments = 32;
-  /// Victim selection (see CleanerPolicy).
-  CleanerPolicy cleaner_policy = CleanerPolicy::kGarbageRatio;
   /// SimpleDB domains the index postings are hashed across (published in
   /// BatchPutAttributes calls of 25 items).
   std::size_t shard_count = 1;
@@ -132,9 +125,9 @@ class LsbBackend final : public ProvenanceBackend {
   /// Force an index publication now (bench/test hook).
   void publish_index();
 
-  /// One cleaner pass over up to `compact_max_segments` victims picked by
-  /// `cleaner_policy`. Returns the number of segments reclaimed (0 =
-  /// nothing eligible).
+  /// One cleaner pass over up to `compact_max_segments` victims: indexed
+  /// segments at least half garbage, richest first. Returns the number of
+  /// segments reclaimed (0 = no victim).
   std::size_t compact();
 
   /// Cleaner-effectiveness counters (in-memory view; exact after quiesce).
@@ -150,7 +143,8 @@ class LsbBackend final : public ProvenanceBackend {
   SegmentStats stats() const;
 
  protected:
-  /// Drain: publish every buffered posting, then clean while due.
+  /// Drain: publish every buffered posting, then clean while due (each pass
+  /// strictly lowers the victims' garbage, so the loop ends).
   void do_quiesce() override;
 
  private:
@@ -211,7 +205,15 @@ class LsbBackend final : public ProvenanceBackend {
   void rebuild_from_index();
   /// Replay segments the index does not know / purge below delete-to.
   void replay_orphans();
-  bool compact_due_locked() const;
+  /// The cleaner's victims (at most compact_max_segments, in id order) and
+  /// the garbage bytes they hold.
+  struct Victims {
+    std::vector<std::uint64_t> ids;
+    std::uint64_t garbage = 0;
+  };
+  Victims pick_victims_locked() const;
+  /// auto_clean, and a pass would free at least segment_cap_bytes.
+  bool clean_due() const;
 
   CloudServices* services_;
   LsbBackendConfig config_;

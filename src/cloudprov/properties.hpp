@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -139,6 +140,8 @@ struct LsbCrashReport {
   std::uint64_t crash_scenarios = 0;
   std::uint64_t crashed_runs = 0;  // scenarios where the armed crash fired
   std::uint64_t violations = 0;
+  /// Every lsb.* point at which an armed crash fired at least once.
+  std::set<std::string> swept_points;
 
   bool crash_safe() const { return crash_scenarios > 0 && violations == 0; }
 };

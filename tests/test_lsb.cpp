@@ -3,18 +3,22 @@
 // slow-but-not-crashed S3 seal path.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "cloudprov/ancestry.hpp"
 #include "cloudprov/lsb/format.hpp"
 #include "cloudprov/lsb/lsb_backend.hpp"
 #include "cloudprov/query.hpp"
 #include "cloudprov/session.hpp"
 #include "sim/failure.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
 using namespace provcloud::cloudprov;
 using namespace provcloud::pass;
 namespace aws = provcloud::aws;
+namespace obs = provcloud::obs;
 namespace sim = provcloud::sim;
 namespace util = provcloud::util;
 
@@ -294,7 +298,11 @@ TEST(LsbBackendTest, SealCrashPointFiresBeforeAnyBookkeeping) {
   EXPECT_EQ(backend.stats().segment_count, 0u);
 
   for (int i = 0; i < 3; ++i)
-    backend.store(file_unit("kept" + std::to_string(i), 1, "kept"));
+    backend.store(
+        file_unit("kept" + std::to_string(i), 1, std::string(512, 'k')));
+  // kept0@1's segment is now mostly superseded data: a victim whose
+  // records the cleaner must re-seal.
+  backend.store(file_unit("kept0", 2, "newer"));
   backend.quiesce();
   const std::uint64_t segments = backend.stats().segment_count;
   env.failures().arm_crash("lsb.compact.after_put");
@@ -309,13 +317,14 @@ TEST(LsbBackendTest, SealCrashPointFiresBeforeAnyBookkeeping) {
   EXPECT_EQ(*lost->data, "sealed");
   for (int i = 0; i < 3; ++i)
     ASSERT_TRUE(backend.read("kept" + std::to_string(i)).has_value()) << i;
+  EXPECT_FALSE(backend.get_provenance("kept0", 1)->empty());
 }
 
 TEST(LsbBackendTest, CompactionReclaimsGarbageAndPreservesAncestry) {
   aws::CloudEnv env(28, aws::ConsistencyConfig::strong());
   CloudServices services(env);
   LsbBackendConfig cfg;
-  cfg.compact_trigger_segments = 0;  // manual cleaning only
+  cfg.auto_clean = false;  // manual cleaning only
   auto backend = std::make_unique<LsbBackend>(services, cfg);
 
   // A chain with superseded versions: v1/v2 of "hot" become garbage once
@@ -339,9 +348,9 @@ TEST(LsbBackendTest, CompactionReclaimsGarbageAndPreservesAncestry) {
   const AncestryResult want = fetch_ancestry(*backend, "cold", 1);
   const AncestryResult want_hot = fetch_ancestry(*backend, "hot", 3);
 
-  // Garbage-ratio selection (the default): only the segments holding
-  // superseded copies (hot@1, hot@2) are worth rewriting; the all-live
-  // cold@1 and hot@3 segments are left alone.
+  // Only the segments at least half garbage (hot@1 and hot@2, whose data
+  // was superseded) are victims; the all-live cold@1 and hot@3 segments are
+  // left alone.
   const std::size_t reclaimed = backend->compact();
   EXPECT_GE(reclaimed, 2u);
 
@@ -375,54 +384,57 @@ TEST(LsbBackendTest, CompactionReclaimsGarbageAndPreservesAncestry) {
   EXPECT_TRUE(ancestry_equal(fetch_ancestry(*fresh, "cold", 1), want));
 }
 
-TEST(LsbBackendTest, GarbageRatioPolicyRewritesFewerBytesThanOldestFirst) {
+TEST(LsbBackendTest, CleanerSkipsTheAllLivePrefixAndReclaimsTheHotTail) {
   // Garbage concentrated in LATE segments: a live prefix of never-
   // overwritten objects, then repeated overwrites of one hot object. The
-  // age policy rewrites the live prefix (all copy, no reclaim); the
-  // garbage-ratio policy jumps straight to the overwrite-heavy tail.
-  auto drive = [](CleanerPolicy policy, std::uint64_t seed) {
-    aws::CloudEnv env(seed, aws::ConsistencyConfig::strong());
-    CloudServices services(env);
-    LsbBackendConfig cfg;
-    cfg.compact_trigger_segments = 0;  // manual cleaning only
-    cfg.compact_max_segments = 4;
-    cfg.cleaner_policy = policy;
-    auto backend = std::make_unique<LsbBackend>(services, cfg);
-    for (int i = 0; i < 8; ++i)
-      backend->store(file_unit("cold/f" + std::to_string(i), 1,
-                               std::string(256, 'c')));
-    for (int v = 1; v <= 8; ++v)
-      backend->store(file_unit("hot", v, std::string(256, 'h')));
-    backend->quiesce();
-    const auto before = backend->stats();
-    EXPECT_GT(before.garbage_ratio, 0.0);
-    backend->compact();
-    struct Result {
-      std::uint64_t rewritten;
-      std::uint64_t reclaimed;
-      double garbage_ratio;
-    };
-    return Result{
-        env.metrics().counter("lsb.compact.rewritten_bytes").value(),
-        env.metrics().counter("lsb.compact.reclaimed_bytes").value(),
-        backend->stats().garbage_ratio};
-  };
+  // cleaner never copies the prefix and reclaims all of the tail's garbage.
+  aws::CloudEnv env(31, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  LsbBackendConfig cfg;
+  cfg.auto_clean = false;  // manual cleaning only
+  cfg.compact_max_segments = 4;
+  auto backend = std::make_unique<LsbBackend>(services, cfg);
+  for (int i = 0; i < 8; ++i)
+    backend->store(file_unit("cold/f" + std::to_string(i), 1,
+                             std::string(256, 'c')));
+  for (int v = 1; v <= 8; ++v)
+    backend->store(file_unit("hot", v, std::string(256, 'h')));
+  backend->quiesce();
+  ASSERT_GT(backend->stats().garbage_ratio, 0.0);
 
-  const auto by_age = drive(CleanerPolicy::kOldestFirst, 31);
-  const auto by_ratio = drive(CleanerPolicy::kGarbageRatio, 31);
-  // Same pass budget (4 victims): the ratio policy copies fewer live bytes
-  // and reclaims more garbage.
-  EXPECT_LT(by_ratio.rewritten, by_age.rewritten)
-      << "ratio=" << by_ratio.rewritten << " age=" << by_age.rewritten;
-  EXPECT_GT(by_ratio.reclaimed, by_age.reclaimed);
-  EXPECT_LT(by_ratio.garbage_ratio, by_age.garbage_ratio);
+  std::size_t passes = 0;
+  while (backend->compact() > 0) ++passes;
+  EXPECT_EQ(passes, 2u);  // hot@1..7 at 4 victims a pass
+
+  // The prefix's segments (ids 1-8) were never victims: every object is
+  // still there, and delete-to never moved past them.
+  for (std::uint64_t id = 1; id <= 8; ++id) {
+    const std::string key = lsb::segment_key(id);
+    EXPECT_TRUE(services.s3.peek(lsb::kSegmentBucket, key).has_value()) << id;
+  }
+  const auto after = backend->stats();
+  EXPECT_EQ(after.delete_to, 1u);
+  // The tail's garbage is gone, and copying its records cost less than it
+  // freed.
+  EXPECT_EQ(after.garbage_ratio, 0.0);
+  const std::uint64_t rewritten =
+      env.metrics().counter("lsb.compact.rewritten_bytes").value();
+  const std::uint64_t reclaimed =
+      env.metrics().counter("lsb.compact.reclaimed_bytes").value();
+  EXPECT_GE(reclaimed, 7u * 256u);
+  EXPECT_LT(rewritten, reclaimed);
+  for (int i = 0; i < 8; ++i)
+    ASSERT_TRUE(backend->read("cold/f" + std::to_string(i)).has_value()) << i;
+  auto hot = backend->read("hot");
+  ASSERT_TRUE(hot.has_value());
+  EXPECT_EQ(hot->version, 8u);
 }
 
 TEST(LsbBackendTest, MidLogCompactionKeepsWatermarkBehindSurvivors) {
   aws::CloudEnv env(32, aws::ConsistencyConfig::strong());
   CloudServices services(env);
   LsbBackendConfig cfg;
-  cfg.compact_trigger_segments = 0;
+  cfg.auto_clean = false;
   cfg.compact_max_segments = 2;
   auto backend = std::make_unique<LsbBackend>(services, cfg);
   // Segment 1: live forever. Segments 2-3: superseded by segment 4.
@@ -454,22 +466,183 @@ TEST(LsbBackendTest, MidLogCompactionKeepsWatermarkBehindSurvivors) {
 }
 
 TEST(LsbBackendTest, AutomaticCleaningTriggersOnTheWritePath) {
+  // At a 1 KiB cap each 600-byte close is its own segment, and each
+  // overwrite leaves the previous one mostly garbage: once two such
+  // victims are indexed, pump() cleans without anyone calling compact().
   aws::CloudEnv env(29, aws::ConsistencyConfig::strong());
   CloudServices services(env);
   LsbBackendConfig cfg;
-  cfg.compact_trigger_segments = 6;
-  cfg.compact_max_segments = 6;
+  cfg.segment_cap_bytes = util::kKiB;
   cfg.index_publish_entries = 4;
   auto backend = std::make_unique<LsbBackend>(services, cfg);
-  for (int i = 0; i < 24; ++i)
-    backend->store(file_unit("auto", 1 + i, "x"));
+  for (int i = 0; i < 24; ++i) {
+    const std::string data(600, static_cast<char>('a' + i));
+    backend->store(file_unit("auto", 1 + i, data));
+  }
+  EXPECT_GT(env.metrics().counter("lsb.compactions").value(), 0u);
+  EXPECT_GT(backend->stats().delete_to, 1u);
   backend->quiesce();
+  // What garbage is left is less than a pass would free.
   const auto stats = backend->stats();
-  EXPECT_GT(stats.delete_to, 1u);  // the cleaner ran without being asked
-  EXPECT_LE(stats.segment_count, 6u);
+  EXPECT_LT(stats.total_bytes - stats.live_bytes, cfg.segment_cap_bytes);
   auto got = backend->read("auto");
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->version, 24u);
+  EXPECT_EQ(*got->data, std::string(600, static_cast<char>('a' + 23)));
+  for (std::uint32_t v = 1; v <= 24; ++v)
+    EXPECT_FALSE(backend->get_provenance("auto", v)->empty()) << v;
+}
+
+TEST(LsbBackendTest, GarbageFreeStoreIsNeverCleaned) {
+  // Seventy small segments, none holding garbage: however many segments
+  // there are, there is nothing to reclaim, so quiesce() copies nothing.
+  aws::CloudEnv env(33, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  LsbBackend backend(services);
+  for (int i = 0; i < 70; ++i)
+    backend.store(file_unit("live/f" + std::to_string(i), 1, "payload"));
+  backend.quiesce();
+  EXPECT_EQ(env.metrics().counter("lsb.compactions").value(), 0u);
+  EXPECT_EQ(env.metrics().counter("lsb.compact.rewritten_bytes").value(), 0u);
+  EXPECT_EQ(backend.stats().segment_count, 70u);
+  EXPECT_EQ(backend.stats().garbage_ratio, 0.0);
+}
+
+TEST(LsbBackendTest, QuiesceEndsWithManyLiveSegmentsAndGarbageLeft) {
+  // At a 1 KiB cap: over 64 live segments, hot overwrites the cleaner
+  // reclaims, and thin garbage it must leave alone; quiesce() returns
+  // however many segments there are. A twin store that never cleans is the
+  // reference: every read and ancestry walk is bit-identical to it, and a
+  // fresh recover() over the cleaned store agrees.
+  const auto fill = [](LsbBackend& backend) {
+    std::uint32_t hot = 0;
+    const auto store_hot = [&] {
+      std::vector<ProvenanceRecord> records = {make_text_record("NAME", "hot")};
+      if (hot > 0)
+        records.push_back(
+            make_xref_record(attr::kPrev, ObjectVersion{"hot", hot}));
+      ++hot;
+      const std::string data(600, static_cast<char>('0' + hot));
+      backend.store(file_unit("hot", hot, data, std::move(records)));
+    };
+    store_hot();
+    for (std::uint32_t i = 0; i < 70; ++i) {
+      // A live segment per file, each derived from the current hot version.
+      const std::string name = "cold/f" + std::to_string(i);
+      backend.store(file_unit(
+          name, 1, std::string(500, 'c'),
+          {make_text_record("NAME", name),
+           make_xref_record(attr::kInput, ObjectVersion{"hot", hot})}));
+      if (i % 8 == 7) store_hot();
+      // Thin garbage: 8 superseded data bytes in a segment of ~100.
+      if (i % 10 == 9)
+        backend.store(file_unit("notes", 1 + i / 10, std::string(8, 'n')));
+    }
+  };
+  const auto make = [](CloudServices& services, bool clean) {
+    LsbBackendConfig cfg;
+    cfg.segment_cap_bytes = util::kKiB;
+    cfg.index_publish_entries = 4;
+    cfg.auto_clean = clean;
+    return std::make_unique<LsbBackend>(services, cfg);
+  };
+  aws::CloudEnv env(34, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  auto cleaned = make(services, true);
+  fill(*cleaned);
+  cleaned->quiesce();
+  aws::CloudEnv ref_env(34, aws::ConsistencyConfig::strong());
+  CloudServices ref_services(ref_env);
+  auto reference = make(ref_services, false);
+  fill(*reference);
+  reference->quiesce();
+
+  EXPECT_GT(env.metrics().counter("lsb.compactions").value(), 0u);
+  const auto stats = cleaned->stats();
+  EXPECT_GT(stats.segment_count, 64u);
+  EXPECT_GT(stats.garbage_ratio, 0.0);
+
+  const auto agrees = [&](ProvenanceBackend& backend) {
+    for (std::uint32_t i = 0; i < 70; ++i) {
+      const std::string name = "cold/f" + std::to_string(i);
+      auto got = backend.read(name);
+      auto want = reference->read(name);
+      ASSERT_TRUE(got.has_value() && want.has_value()) << name;
+      EXPECT_EQ(*got->data, *want->data) << name;
+      EXPECT_EQ(got->records, want->records) << name;
+      EXPECT_TRUE(ancestry_equal(fetch_ancestry(backend, name, 1),
+                                 fetch_ancestry(*reference, name, 1)))
+          << name;
+    }
+    for (const char* name : {"hot", "notes"}) {
+      auto got = backend.read(name);
+      auto want = reference->read(name);
+      ASSERT_TRUE(got.has_value() && want.has_value()) << name;
+      EXPECT_EQ(got->version, want->version) << name;
+      EXPECT_EQ(*got->data, *want->data) << name;
+      for (std::uint32_t v = 1; v <= want->version; ++v)
+        EXPECT_EQ(*backend.get_provenance(name, v),
+                  *reference->get_provenance(name, v))
+            << name << "@" << v;
+    }
+    EXPECT_TRUE(ancestry_equal(fetch_ancestry(backend, "hot", 1),
+                               fetch_ancestry(*reference, "hot", 1)));
+  };
+  agrees(*cleaned);
+  auto fresh = make(services, true);
+  fresh->recover();
+  agrees(*fresh);
+}
+
+TEST(LsbBackendTest, NoCleanerPassCopiesMoreThanItFrees) {
+  // Seeded churn at a 1 KiB cap: groups of one to four closes over a few
+  // objects, data from empty to 800 bytes, and repeated (object, version)
+  // submits, so victims mix whole dead copies, superseded data and live
+  // records. Every pass, whatever it picks, rewrites no more bytes than
+  // it reclaims.
+  aws::CloudEnv env(35, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  LsbBackendConfig cfg;
+  cfg.segment_cap_bytes = util::kKiB;
+  cfg.auto_clean = false;
+  cfg.compact_max_segments = 3;
+  LsbBackend backend(services, cfg);
+  util::Rng rng(35);
+  std::map<std::string, std::uint32_t> versions;
+  for (int g = 0; g < 60; ++g) {
+    auto session = backend.open_session(SessionConfig{.max_group = 4});
+    const std::uint64_t closes = rng.next_in(1, 4);
+    for (std::uint64_t c = 0; c < closes; ++c) {
+      const std::string object = "obj" + std::to_string(rng.next_below(6));
+      std::uint32_t& version = versions[object];
+      if (version == 0 || !rng.next_bool(0.2)) ++version;  // else a re-store
+      session->submit(file_unit(object, version,
+                                std::string(rng.next_in(0, 800), 'd')));
+    }
+    ASSERT_TRUE(session->sync().has_value());
+  }
+  backend.quiesce();
+
+  obs::Counter& rewritten =
+      env.metrics().counter("lsb.compact.rewritten_bytes");
+  obs::Counter& reclaimed =
+      env.metrics().counter("lsb.compact.reclaimed_bytes");
+  std::size_t passes = 0;
+  for (;;) {
+    const std::uint64_t rewritten_before = rewritten.value();
+    const std::uint64_t reclaimed_before = reclaimed.value();
+    if (backend.compact() == 0) break;
+    ++passes;
+    EXPECT_LE(rewritten.value() - rewritten_before,
+              reclaimed.value() - reclaimed_before)
+        << "pass " << passes;
+  }
+  EXPECT_GT(passes, 2u);
+  for (const auto& [object, version] : versions) {
+    auto got = backend.read(object);
+    ASSERT_TRUE(got.has_value()) << object;
+    EXPECT_EQ(got->version, version) << object;
+  }
 }
 
 // --- satellite: slow-but-not-crashed S3 on the seal path ---

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <initializer_list>
+#include <string>
 
 #include "cloudprov/properties.hpp"
 
@@ -256,6 +258,21 @@ TEST(TableOneTest, BatchedShardedArchFourKeepsAcidProperties) {
   EXPECT_FALSE(report.efficient_query);  // scan-based search, like Arch 1
 }
 
+/// Arch 4's seal, index-publication and cleaner crash points: the sweep
+/// must crash at every one of them, at every group size.
+void expect_every_lsb_point_swept(const LsbCrashReport& report) {
+  const auto expect = [&report](const std::string& stage,
+                                std::initializer_list<const char*> steps) {
+    for (const char* step : steps)
+      EXPECT_TRUE(report.swept_points.contains("lsb." + stage + "." + step))
+          << stage << "." << step;
+  };
+  expect("seal", {"begin", "after_put"});
+  expect("index", {"begin", "mid_publish", "after_publish", "after_mark"});
+  expect("compact", {"begin", "after_put", "mid_republish"});
+  expect("compact", {"after_watermark", "mid_delete", "end"});
+}
+
 TEST(TableOneTest, LsbCrashSweepIsCrashSafe) {
   // Dedicated Arch-4 sweep: crashes injected mid-seal, mid-index-publish
   // and mid-compaction must never tear the index or lose a committed
@@ -266,6 +283,7 @@ TEST(TableOneTest, LsbCrashSweepIsCrashSafe) {
   EXPECT_GT(report.crashed_runs, 0u);
   EXPECT_EQ(report.violations, 0u);
   EXPECT_TRUE(report.crash_safe());
+  expect_every_lsb_point_swept(report);
 }
 
 TEST(TableOneTest, LsbCrashSweepSurvivesGroupedSubmits) {
@@ -274,6 +292,7 @@ TEST(TableOneTest, LsbCrashSweepSurvivesGroupedSubmits) {
   const LsbCrashReport report = check_lsb_crash_sweep(o);
   EXPECT_TRUE(report.crash_safe()) << report.violations << " violations in "
                                    << report.crash_scenarios << " scenarios";
+  expect_every_lsb_point_swept(report);
 }
 
 TEST(TableOneTest, VerdictsSurviveBrownoutsAndThrottleStorms) {

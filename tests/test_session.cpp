@@ -521,8 +521,8 @@ TEST(SessionTest, ArchThreeGroupLogRidesBatchedSends) {
 // --- commit-daemon maintenance runs on its own actor, off the close ---
 
 /// Arch 3 draining its WAL after every close, or Arch 4 publishing its
-/// index every other close and cleaning every few segments: maintenance
-/// runs after most groups.
+/// index every other close and cleaning whenever two overwritten closes
+/// are indexed: maintenance runs after most groups.
 std::unique_ptr<ProvenanceBackend> eager_maintenance_backend(
     Architecture arch, CloudServices& services) {
   if (arch == Architecture::kS3SimpleDbSqs) {
@@ -530,20 +530,23 @@ std::unique_ptr<ProvenanceBackend> eager_maintenance_backend(
     cfg.commit_threshold = 1;
     return make_wal_backend(services, cfg);
   }
+  // At a 1 KiB cap each close below is its own segment, and an overwrite
+  // leaves the previous one mostly garbage.
   LsbBackendConfig cfg;
+  cfg.segment_cap_bytes = util::kKiB;
   cfg.index_publish_entries = 2;
-  cfg.compact_trigger_segments = 4;
   return make_lsb_backend(services, cfg);
 }
 
-/// One client submitting `closes` closes at group 1, synced.
+/// One client submitting `closes` closes at group 1, synced; from the
+/// sixth on, each overwrites one of five files.
 std::vector<Ticket> run_sequential_closes(ProvenanceBackend& backend,
                                           int closes) {
   auto session = backend.open_session(SessionConfig{});
   std::vector<Ticket> tickets;
   for (int i = 0; i < closes; ++i)
-    tickets.push_back(session->submit(
-        file_unit("f" + std::to_string(i % 5), 1 + i / 5, "payload")));
+    tickets.push_back(session->submit(file_unit(
+        "f" + std::to_string(i % 5), 1 + i / 5, std::string(600, 'p'))));
   EXPECT_TRUE(session->sync().has_value());
   return tickets;
 }
@@ -562,6 +565,9 @@ TEST(SessionTest, MaintenanceChargesNoClose) {
     const sim::SimTime start = env.elapsed_time();
     const sim::SimTime start_sdb = env.elapsed_by_service()["sdb"];
     const std::vector<Ticket> tickets = run_sequential_closes(*backend, 12);
+    if (arch == Architecture::kS3SegmentLog) {
+      EXPECT_GT(counter_value(env, "lsb.compactions"), 0u);  // it cleaned
+    }
 
     // SimpleDB was written, and on these architectures only maintenance
     // writes it (the WAL drain, the index publication and cleaner).
@@ -588,6 +594,9 @@ TEST(SessionTest, MaintenanceActorConservesEveryCharge) {
     auto backend = eager_maintenance_backend(arch, services);
     run_sequential_closes(*backend, 12);
     backend->quiesce();
+    if (arch == Architecture::kS3SegmentLog) {
+      EXPECT_GT(counter_value(env, "lsb.compactions"), 0u);  // it cleaned
+    }
 
     // Every charge lands on the client's timeline or the actor's, never
     // both; the client's only other time is its wait at the join.
@@ -607,6 +616,9 @@ TEST(SessionTest, QuiesceWaitsForTheMaintenanceActor) {
     auto backend = eager_maintenance_backend(arch, services);
     run_sequential_closes(*backend, 12);
     backend->quiesce();
+    if (arch == Architecture::kS3SegmentLog) {
+      EXPECT_GT(counter_value(env, "lsb.compactions"), 0u);  // it cleaned
+    }
 
     // The client cannot finish before the actor's work, nor later than
     // the serial sum of every charge.

@@ -178,7 +178,8 @@ TEST(SessionConcurrentTest, DroppedSessionsDoNotPoisonConcurrentSyncs) {
 TEST(SessionConcurrentTest, MaintenanceActorJoinsAfterManyFlushers) {
   // Arch 3 draining its WAL after every group and Arch 4 publishing and
   // cleaning every few groups: whichever thread flushes runs the
-  // maintenance step, and one thread joins the actor at the end.
+  // maintenance step, and one thread joins the actor at the end. Each
+  // session overwrites its thread's files from the session before.
   for (const Architecture arch :
        {Architecture::kS3SimpleDbSqs, Architecture::kS3SegmentLog}) {
     aws::CloudEnv env(93, aws::ConsistencyConfig::strong());
@@ -189,23 +190,26 @@ TEST(SessionConcurrentTest, MaintenanceActorJoinsAfterManyFlushers) {
       cfg.commit_threshold = 1;
       backend = make_wal_backend(services, cfg);
     } else {
+      // At a 1 KiB cap each 600-byte close is its own segment, and an
+      // overwrite leaves the previous one mostly garbage for the cleaner.
       LsbBackendConfig cfg;
+      cfg.segment_cap_bytes = util::kKiB;
       cfg.index_publish_entries = 4;
-      cfg.compact_trigger_segments = 6;
       backend = make_lsb_backend(services, cfg);
     }
+    const auto object = [](int tid, int c) {
+      return "m/t" + std::to_string(tid) + "/f" + std::to_string(c);
+    };
 
-    auto worker = [&backend](int tid) {
+    auto worker = [&backend, &object](int tid) {
       for (int s = 0; s < kSessionsPerThread; ++s) {
         auto session = backend->open_session(
             SessionConfig{.client_id = "client-" + std::to_string(tid),
                           .max_group = 2});
         std::vector<Ticket> tickets;
         for (int c = 0; c < kClosesPerSession; ++c)
-          tickets.push_back(session->submit(file_unit(
-              "m/t" + std::to_string(tid) + "/s" + std::to_string(s) + "/f" +
-                  std::to_string(c),
-              1, "x")));
+          tickets.push_back(session->submit(
+              file_unit(object(tid, c), 1 + s, std::string(600, 'x'))));
         EXPECT_TRUE(session->sync().has_value());
         for (const Ticket& t : tickets) EXPECT_TRUE(t.ok());
       }
@@ -235,17 +239,18 @@ TEST(SessionConcurrentTest, MaintenanceActorJoinsAfterManyFlushers) {
     EXPECT_GT(busy, 0u) << to_string(arch);
     EXPECT_GE(env.elapsed_time(), busy) << to_string(arch);
     EXPECT_LE(env.elapsed_time(), env.busy_time()) << to_string(arch);
+    if (arch == Architecture::kS3SegmentLog) {
+      EXPECT_GT(env.metrics().counter("lsb.compactions").value(), 0u);
+    }
 
     for (int tid = 0; tid < kThreads; ++tid)
-      for (int s = 0; s < kSessionsPerThread; ++s)
-        for (int c = 0; c < kClosesPerSession; ++c) {
-          const std::string object = "m/t" + std::to_string(tid) + "/s" +
-                                     std::to_string(s) + "/f" +
-                                     std::to_string(c);
-          const auto got = backend->read(object);
-          ASSERT_TRUE(got.has_value()) << object;
-          EXPECT_TRUE(got->verified) << object;
-        }
+      for (int c = 0; c < kClosesPerSession; ++c) {
+        const auto got = backend->read(object(tid, c));
+        ASSERT_TRUE(got.has_value()) << object(tid, c);
+        EXPECT_EQ(got->version, static_cast<std::uint32_t>(kSessionsPerThread))
+            << object(tid, c);
+        EXPECT_TRUE(got->verified) << object(tid, c);
+      }
   }
 }
 
