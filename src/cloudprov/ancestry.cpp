@@ -168,15 +168,12 @@ AncestryResult walk_ancestry(const ProvenanceFetcher& fetch,
 AncestryResult fetch_ancestry(ProvenanceBackend& backend,
                               const std::string& object, std::uint32_t version,
                               std::size_t max_nodes) {
-  // The classic walk: one get_provenance round trip per node, expressed as
-  // a degenerate batch fetcher (same code path as the manifest walk).
+  // One batched fetch per BFS frontier: the default get_provenance_many is
+  // the classic one-round-trip-per-node walk; Arch 4 folds a frontier into
+  // one range GET per segment.
   return walk_ancestry(
       [&backend](const std::vector<ObjectVersion>& ids) {
-        std::vector<BackendResult<std::vector<pass::ProvenanceRecord>>> out;
-        out.reserve(ids.size());
-        for (const ObjectVersion& id : ids)
-          out.push_back(backend.get_provenance(id.object, id.version));
-        return out;
+        return backend.get_provenance_many(ids);
       },
       object, version, max_nodes);
 }

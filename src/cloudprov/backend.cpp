@@ -4,6 +4,16 @@
 
 namespace provcloud::cloudprov {
 
+std::vector<BackendResult<std::vector<pass::ProvenanceRecord>>>
+ProvenanceBackend::get_provenance_many(
+    const std::vector<pass::ObjectVersion>& ids) {
+  std::vector<BackendResult<std::vector<pass::ProvenanceRecord>>> out;
+  out.reserve(ids.size());
+  for (const pass::ObjectVersion& id : ids)
+    out.push_back(get_provenance(id.object, id.version));
+  return out;
+}
+
 std::unique_ptr<ProvenanceBackend> make_backend(Architecture arch,
                                                 CloudServices& services) {
   switch (arch) {

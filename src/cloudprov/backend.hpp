@@ -71,6 +71,10 @@ enum class BackendErrorCode {
   /// the caller exceeded its provisioned throughput and should retry after
   /// BackendError::retry_after.
   kThrottled,
+  /// Stored bytes arrived whole but do not decode to what was asked for.
+  /// Retrying cannot help: the object is immutable, so the read fails at
+  /// once instead of spending the consistency retry budget.
+  kCorrupt,
 };
 
 const char* to_string(BackendErrorCode code);
@@ -213,6 +217,15 @@ class ProvenanceBackend {
   virtual BackendResult<std::vector<pass::ProvenanceRecord>> get_provenance(
       const std::string& object, std::uint32_t version) = 0;
 
+  /// Batched get_provenance: one result per id, in input order, each what
+  /// get_provenance would return for it. fetch_ancestry hands it one BFS
+  /// frontier at a time. The default calls get_provenance for each id in
+  /// turn, so a backend that does not override it makes exactly the
+  /// requests of a per-node walk; Arch 4 overrides it to fetch a
+  /// frontier's entries with one range GET per segment.
+  virtual std::vector<BackendResult<std::vector<pass::ProvenanceRecord>>>
+  get_provenance_many(const std::vector<pass::ObjectVersion>& ids);
+
   /// Client-restart recovery (after a CrashError was thrown from store or
   /// pump). Arch 1: nothing. Arch 2: orphan-provenance scan. Arch 3: WAL
   /// replay via the commit daemon.
@@ -279,6 +292,7 @@ inline const char* to_string(BackendErrorCode code) {
     case BackendErrorCode::kCrashed: return "crashed";
     case BackendErrorCode::kUnsupported: return "unsupported";
     case BackendErrorCode::kThrottled: return "throttled";
+    case BackendErrorCode::kCorrupt: return "corrupt";
   }
   return "?";
 }

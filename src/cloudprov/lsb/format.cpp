@@ -2,63 +2,21 @@
 
 #include <cstring>
 
-#include "cloudprov/serialize.hpp"
+#include "cloudprov/wire_codec.hpp"
 
 namespace provcloud::cloudprov::lsb {
 
+using wire::append_u64;
+using wire::Cursor;
+
 namespace {
 
-constexpr const char* kSegmentMagic = "PSG1\n";
-constexpr const char* kEntryMagic = "E1 ";
+constexpr std::string_view kSegmentMagic = "PSG2\n";
+constexpr std::string_view kEntryMagic = "E2 ";
+/// records_at is written zero-padded to this many digits.
+constexpr std::size_t kRecordsAtDigits = 20;
 /// Stay under SimpleDB's 1 KB attribute-value limit with margin.
 constexpr std::size_t kPostingValueCap = 960;
-
-void append_u64(std::string& out, std::uint64_t v) {
-  out += std::to_string(v);
-}
-
-/// Cursor over a length-prefixed buffer (the manifest PMB1 idiom).
-struct Cursor {
-  const std::string& buf;
-  std::size_t pos = 0;
-
-  bool expect(const char* literal) {
-    const std::size_t n = std::char_traits<char>::length(literal);
-    if (buf.compare(pos, n, literal) != 0) return false;
-    pos += n;
-    return true;
-  }
-
-  bool read_u64(std::uint64_t& out) {
-    if (pos >= buf.size() || buf[pos] < '0' || buf[pos] > '9') return false;
-    std::uint64_t v = 0;
-    while (pos < buf.size() && buf[pos] >= '0' && buf[pos] <= '9') {
-      v = v * 10 + static_cast<std::uint64_t>(buf[pos] - '0');
-      ++pos;
-    }
-    out = v;
-    return true;
-  }
-
-  bool read_sep() {
-    if (pos >= buf.size() || buf[pos] != ' ') return false;
-    ++pos;
-    return true;
-  }
-
-  bool read_nl() {
-    if (pos >= buf.size() || buf[pos] != '\n') return false;
-    ++pos;
-    return true;
-  }
-
-  bool read_bytes(std::size_t n, std::string& out) {
-    if (pos + n > buf.size()) return false;
-    out.assign(buf, pos, n);
-    pos += n;
-    return true;
-  }
-};
 
 std::uint64_t kind_code(pass::PnodeKind kind) {
   switch (kind) {
@@ -78,68 +36,46 @@ bool kind_from_code(std::uint64_t code, pass::PnodeKind& out) {
   return false;
 }
 
-void encode_record(std::string& out, const pass::ProvenanceRecord& r) {
-  const std::string value = r.value_string();
-  append_u64(out, r.attribute.size());
+/// "E2 <object len> <version> <kind> <has data> <data offset> <data len>
+/// <record count>\n<object><records>".
+void encode_records_part(std::string& out, const SegmentEntry& entry,
+                         std::uint64_t data_offset) {
+  const bool has_data = entry.data != nullptr;
+  out += kEntryMagic;
+  append_u64(out, entry.id.object.size());
   out += ' ';
-  append_u64(out, value.size());
+  append_u64(out, entry.id.version);
   out += ' ';
-  out += r.is_xref() ? '1' : '0';
+  append_u64(out, kind_code(entry.kind));
+  out += ' ';
+  out += has_data ? '1' : '0';
+  out += ' ';
+  append_u64(out, has_data ? data_offset : 0);
+  out += ' ';
+  append_u64(out, has_data ? entry.data->size() : 0);
+  out += ' ';
+  append_u64(out, entry.records.size());
   out += '\n';
-  out += r.attribute;
-  out += value;
+  out += entry.id.object;
+  for (const pass::ProvenanceRecord& r : entry.records)
+    wire::encode_record(out, r);
 }
 
-bool decode_record(Cursor& c, pass::ProvenanceRecord& out) {
-  std::uint64_t attr_len = 0, value_len = 0, xref = 0;
-  if (!c.read_u64(attr_len) || !c.read_sep() || !c.read_u64(value_len) ||
-      !c.read_sep() || !c.read_u64(xref) || !c.read_nl())
+bool decode_records_part(Cursor& c, EntryRecords& out) {
+  std::uint64_t object_len = 0, kind = 0, has_data = 0, record_count = 0;
+  if (!c.expect(kEntryMagic) || !c.read_u64(object_len) || !c.read_sep() ||
+      !c.read_u32(out.id.version) || !c.read_sep() || !c.read_u64(kind) ||
+      !c.read_sep() || !c.read_u64(has_data) || !c.read_sep() ||
+      !c.read_u64(out.data_offset) || !c.read_sep() ||
+      !c.read_u64(out.data_length) || !c.read_sep() ||
+      !c.read_u64(record_count) || !c.read_nl())
     return false;
-  std::string attribute, value;
-  if (!c.read_bytes(attr_len, attribute) || !c.read_bytes(value_len, value))
+  if (has_data > 1 || !kind_from_code(kind, out.kind)) return false;
+  out.has_data = has_data == 1;
+  if (!out.has_data && (out.data_offset != 0 || out.data_length != 0))
     return false;
-  if (xref == 1) {
-    std::string object;
-    std::uint32_t version = 0;
-    if (!parse_item_name(value, object, version)) return false;
-    out = pass::make_xref_record(std::move(attribute),
-                                 pass::ObjectVersion{object, version});
-  } else {
-    out = pass::make_text_record(std::move(attribute), std::move(value));
-  }
-  return true;
-}
-
-bool decode_entry_at(Cursor& c, SegmentEntry& out) {
-  if (!c.expect(kEntryMagic)) return false;
-  std::uint64_t object_len = 0, version = 0, kind = 0, has_data = 0,
-                data_len = 0, record_count = 0;
-  if (!c.read_u64(object_len) || !c.read_sep() || !c.read_u64(version) ||
-      !c.read_sep() || !c.read_u64(kind) || !c.read_sep() ||
-      !c.read_u64(has_data) || !c.read_sep() || !c.read_u64(data_len) ||
-      !c.read_sep() || !c.read_u64(record_count) || !c.read_nl())
-    return false;
-  std::string object;
-  if (!c.read_bytes(object_len, object)) return false;
-  out.id = pass::ObjectVersion{std::move(object),
-                               static_cast<std::uint32_t>(version)};
-  if (!kind_from_code(kind, out.kind)) return false;
-  out.data = nullptr;
-  if (has_data == 1) {
-    std::string data;
-    if (!c.read_bytes(data_len, data)) return false;
-    out.data = util::make_shared_bytes(std::move(data));
-  } else if (data_len != 0) {
-    return false;
-  }
-  out.records.clear();
-  out.records.reserve(record_count);
-  for (std::uint64_t i = 0; i < record_count; ++i) {
-    pass::ProvenanceRecord r;
-    if (!decode_record(c, r)) return false;
-    out.records.push_back(std::move(r));
-  }
-  return true;
+  return c.read_bytes(object_len, out.id.object) &&
+         wire::decode_records(c, record_count, out.records);
 }
 
 }  // namespace
@@ -191,52 +127,89 @@ bool parse_index_item_name(const std::string& item, std::uint64_t& segment_id,
   return true;
 }
 
-std::string encode_entry(const SegmentEntry& entry) {
-  std::string out = kEntryMagic;
-  append_u64(out, entry.id.object.size());
-  out += ' ';
-  append_u64(out, entry.id.version);
-  out += ' ';
-  append_u64(out, kind_code(entry.kind));
-  out += ' ';
-  out += entry.data != nullptr ? '1' : '0';
-  out += ' ';
-  append_u64(out, entry.data != nullptr ? entry.data->size() : 0);
-  out += ' ';
-  append_u64(out, entry.records.size());
-  out += '\n';
-  out += entry.id.object;
-  if (entry.data != nullptr) out += *entry.data;
-  for (const pass::ProvenanceRecord& r : entry.records) encode_record(out, r);
+std::optional<EntryRecords> decode_entry(std::string_view records_part) {
+  Cursor c{records_part};
+  EntryRecords out;
+  if (!decode_records_part(c, out) || !c.done()) return std::nullopt;
   return out;
 }
 
-std::optional<SegmentEntry> decode_entry(const std::string& blob) {
-  Cursor c{blob};
-  SegmentEntry out;
-  if (!decode_entry_at(c, out) || c.pos != blob.size()) return std::nullopt;
-  return out;
+std::uint64_t segment_header_size(std::uint64_t id) {
+  return kSegmentMagic.size() + std::to_string(id).size() + 1 +
+         kRecordsAtDigits + 1;
 }
 
-std::string segment_header(std::uint64_t id) {
-  std::string out = kSegmentMagic;
-  append_u64(out, id);
-  out += '\n';
-  return out;
+SegmentWriter::SegmentWriter(std::uint64_t id) : id_(id) {
+  blob_ = kSegmentMagic;
+  append_u64(blob_, id);
+  blob_ += ' ';
+  blob_.append(kRecordsAtDigits, '0');  // records_at, patched by finish()
+  blob_ += '\n';
 }
 
-std::optional<DecodedSegment> decode_segment(const std::string& blob) {
+bool SegmentWriter::append(const SegmentEntry& entry, std::uint64_t cap) {
+  const std::size_t start = records_.size();
+  encode_records_part(records_, entry, blob_.size());
+  const std::uint64_t data_bytes =
+      entry.data != nullptr ? entry.data->size() : 0;
+  if (!locations_.empty() &&
+      data_bytes_ + data_bytes + records_.size() > cap) {
+    records_.resize(start);
+    return false;
+  }
+  if (entry.data != nullptr) blob_ += *entry.data;
+  data_bytes_ += data_bytes;
+  locations_.push_back(
+      EntryLocation{id_, start, records_.size() - start, data_bytes});
+  return true;
+}
+
+std::string SegmentWriter::finish() {
+  const std::string records_at = std::to_string(blob_.size());
+  const std::size_t header = segment_header_size(id_);
+  blob_.replace(header - 1 - records_at.size(), records_at.size(),
+                records_at);
+  for (EntryLocation& loc : locations_) loc.offset += blob_.size();
+  blob_ += records_;
+  records_.clear();
+  return std::move(blob_);
+}
+
+std::optional<DecodedSegment> decode_segment(std::string_view blob) {
   Cursor c{blob};
   DecodedSegment out;
-  if (!c.expect(kSegmentMagic) || !c.read_u64(out.id) || !c.read_nl())
+  std::uint64_t records_at = 0;
+  if (!c.expect(kSegmentMagic) || !c.read_u64(out.id) || !c.read_sep() ||
+      !c.read_u64(records_at) || !c.read_nl())
     return std::nullopt;
-  while (c.pos < blob.size()) {
+  const std::uint64_t data_at = c.pos();
+  if (data_at != segment_header_size(out.id) || records_at < data_at ||
+      !c.skip(records_at - data_at))
+    return std::nullopt;
+  // The data region must be exactly the entries' data, in entry order.
+  std::uint64_t next_data = data_at;
+  while (!c.done()) {
     PlacedEntry placed;
-    placed.offset = c.pos;
-    if (!decode_entry_at(c, placed.entry)) return std::nullopt;
-    placed.length = c.pos - placed.offset;
+    placed.location.segment = out.id;
+    placed.location.offset = c.pos();
+    EntryRecords rec;
+    if (!decode_records_part(c, rec)) return std::nullopt;
+    placed.location.length = c.pos() - placed.location.offset;
+    if (rec.has_data) {
+      if (rec.data_offset != next_data ||
+          rec.data_length > records_at - next_data)
+        return std::nullopt;
+      placed.entry.data = util::make_shared_bytes(
+          blob.substr(rec.data_offset, rec.data_length));
+      placed.location.data_bytes = rec.data_length;
+      next_data += rec.data_length;
+    }
+    placed.entry.id = std::move(rec.id);
+    placed.entry.kind = rec.kind;
+    placed.entry.records = std::move(rec.records);
     out.entries.push_back(std::move(placed));
   }
+  if (next_data != records_at) return std::nullopt;
   return out;
 }
 
@@ -270,20 +243,18 @@ std::vector<std::string> pack_postings(const std::vector<Posting>& postings) {
 bool unpack_postings(const std::string& value, std::uint64_t segment_id,
                      std::vector<Posting>& out) {
   Cursor c{value};
-  while (c.pos < value.size()) {
-    std::uint64_t object_len = 0, version = 0, offset = 0, length = 0,
-                  data_bytes = 0;
-    if (!c.read_u64(object_len) || !c.read_sep() || !c.read_u64(version) ||
+  while (!c.done()) {
+    std::uint64_t object_len = 0, offset = 0, length = 0, data_bytes = 0;
+    std::uint32_t version = 0;
+    if (!c.read_u64(object_len) || !c.read_sep() || !c.read_u32(version) ||
         !c.read_sep() || !c.read_u64(offset) || !c.read_sep() ||
         !c.read_u64(length) || !c.read_sep() || !c.read_u64(data_bytes) ||
         !c.read_nl())
       return false;
     std::string object;
     if (!c.read_bytes(object_len, object) || !c.read_nl()) return false;
-    out.emplace_back(
-        pass::ObjectVersion{std::move(object),
-                            static_cast<std::uint32_t>(version)},
-        EntryLocation{segment_id, offset, length, data_bytes});
+    out.emplace_back(pass::ObjectVersion{std::move(object), version},
+                     EntryLocation{segment_id, offset, length, data_bytes});
   }
   return true;
 }

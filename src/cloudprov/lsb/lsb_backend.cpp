@@ -18,6 +18,44 @@ const util::SharedBytes kEmptyBytes = util::make_shared_bytes(util::Bytes{});
 /// closes -- the SimpleDB side of the amortization.
 constexpr std::size_t kValuesPerChunkItem = 8;
 
+/// Consistency retries a provenance fetch makes before it gives up, each
+/// charged like every consistency loop.
+constexpr std::uint32_t kProvenanceRetries = 64;
+
+util::Unexpected<BackendError> not_indexed(const pass::ObjectVersion& id) {
+  return backend_error(BackendErrorCode::kNotFound,
+                       "no such version in the segment index: " +
+                           id.to_string());
+}
+
+util::Unexpected<BackendError> never_readable(const pass::ObjectVersion& id) {
+  return backend_error(BackendErrorCode::kConsistencyExhausted,
+                       "segment entry never became readable: " +
+                           id.to_string());
+}
+
+/// The records part at `loc`, cut from `got`, a range GET of its segment
+/// that started at `begin`. nullopt when the slice is missing or short: a
+/// propagation race or a mid-clean delete, so the caller retries. A
+/// full-length slice that does not decode to `id` is corrupt: retrying an
+/// immutable object cannot mend it.
+std::optional<BackendResult<lsb::EntryRecords>> slice_entry(
+    const aws::AwsResult<aws::S3GetResult>& got, std::uint64_t begin,
+    const lsb::EntryLocation& loc, const pass::ObjectVersion& id) {
+  if (!got || got->data == nullptr) return std::nullopt;
+  const util::BytesView bytes(*got->data);
+  const std::uint64_t at = loc.offset - begin;
+  if (at > bytes.size() || loc.length > bytes.size() - at) return std::nullopt;
+  auto entry = lsb::decode_entry(bytes.substr(at, loc.length));
+  if (!entry || !(entry->id == id))
+    return BackendResult<lsb::EntryRecords>(backend_error(
+        BackendErrorCode::kCorrupt,
+        "corrupt entry for " + id.to_string() + " in " +
+            lsb::segment_key(loc.segment) + " at " +
+            std::to_string(loc.offset)));
+  return BackendResult<lsb::EntryRecords>(std::move(*entry));
+}
+
 std::uint64_t parse_meta(const aws::SdbItem& item, const char* attr,
                          std::uint64_t fallback) {
   auto it = item.find(attr);
@@ -111,19 +149,23 @@ void LsbBackend::seal_runs(const std::vector<lsb::SegmentEntry>& entries,
                            const std::function<void(SealedRun&)>& on_sealed) {
   aws::CloudEnv& env = *services_->env;
   SealedRun run;
-  std::string blob;
-  std::size_t run_bytes = 0;
+  std::optional<lsb::SegmentWriter> writer;
   const auto seal = [&] {
+    const std::string blob = writer->finish();
+    run.id = writer->id();
+    run.bytes = blob.size();
+    for (std::size_t i = run.begin; i < run.end; ++i)
+      run.postings.emplace_back(entries[i].id,
+                                writer->locations()[i - run.begin]);
     obs::Span span(&env.tracer(), "lsb.seal", "lsb");
     span.arg("segment", run.id);
     span.arg("closes", static_cast<std::uint64_t>(run.end - run.begin));
-    span.arg("bytes", static_cast<std::uint64_t>(blob.size()));
+    span.arg("bytes", run.bytes);
     auto put = services_->s3.put(lsb::kSegmentBucket,
                                  lsb::segment_key(run.id), blob);
     PROVCLOUD_REQUIRE_MSG(put.has_value(),
                           "segment PUT failed: " + put.error().message);
     env.failures().crash_point(crash_point);
-    run.bytes = blob.size();
     {
       std::lock_guard<std::mutex> lk(mu_);
       SegmentInfo& info = segments_[run.id];
@@ -135,30 +177,22 @@ void LsbBackend::seal_runs(const std::vector<lsb::SegmentEntry>& entries,
     seal_bytes_->add(run.bytes);
   };
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    std::string bytes = lsb::encode_entry(entries[i]);
-    if (i > run.begin &&
-        run_bytes + bytes.size() > config_.segment_cap_bytes) {
+    if (writer && !writer->append(entries[i], config_.segment_cap_bytes)) {
       seal();
+      writer.reset();
+    }
+    if (!writer) {
+      {
+        std::lock_guard<std::mutex> lk(mu_);
+        writer.emplace(next_segment_id_++);
+      }
       run = SealedRun{};
       run.begin = i;
-      run_bytes = 0;
+      writer->append(entries[i], config_.segment_cap_bytes);
     }
-    if (i == run.begin) {
-      std::lock_guard<std::mutex> lk(mu_);
-      run.id = next_segment_id_++;
-      blob = lsb::segment_header(run.id);
-    }
-    lsb::EntryLocation loc;
-    loc.segment = run.id;
-    loc.offset = blob.size();
-    loc.length = bytes.size();
-    loc.data_bytes = entries[i].data != nullptr ? entries[i].data->size() : 0;
-    run.postings.emplace_back(entries[i].id, loc);
-    run_bytes += bytes.size();
-    blob += bytes;
     run.end = i + 1;
   }
-  if (!entries.empty()) seal();
+  if (writer) seal();
 }
 
 void LsbBackend::index_entry_locked(const pass::ObjectVersion& id,
@@ -174,7 +208,7 @@ void LsbBackend::index_entry_locked(const pass::ObjectVersion& id,
         loc.segment > cur.segment ||
         (loc.segment == cur.segment && loc.offset > cur.offset);
     const lsb::EntryLocation& dead = newer ? cur : loc;
-    segments_[dead.segment].garbage_bytes += dead.length;
+    segments_[dead.segment].garbage_bytes += dead.footprint();
     if (newer) cur = loc;
     return;
   }
@@ -208,30 +242,35 @@ BackendResult<ReadResult> LsbBackend::fetch_entry(const pass::ObjectVersion& id,
     {
       std::lock_guard<std::mutex> lk(mu_);
       auto it = index_.find(id);
-      if (it == index_.end())
-        return backend_error(BackendErrorCode::kNotFound,
-                             "no such version in the segment index: " +
-                                 id.object + "@" + std::to_string(id.version));
+      if (it == index_.end()) return not_indexed(id);
       loc = it->second;
     }
-    auto got = services_->s3.get_range(lsb::kSegmentBucket,
-                                       lsb::segment_key(loc.segment),
-                                       loc.offset, loc.length);
-    if (!got) continue;  // propagation race or mid-compaction delete
-    if (got->data == nullptr || got->data->size() != loc.length) continue;
-    auto entry = lsb::decode_entry(*got->data);
-    if (!entry) continue;
+    const std::string key = lsb::segment_key(loc.segment);
+    auto entry = slice_entry(
+        services_->s3.get_range(lsb::kSegmentBucket, key, loc.offset,
+                                loc.length),
+        loc.offset, loc, id);
+    if (!entry) continue;  // propagation race or mid-compaction delete
+    if (!*entry) return util::Unexpected(entry->error());
+    util::SharedBytes data = kEmptyBytes;
+    if ((*entry)->data_length > 0) {
+      auto got = services_->s3.get_range(lsb::kSegmentBucket, key,
+                                         (*entry)->data_offset,
+                                         (*entry)->data_length);
+      if (!got || got->data == nullptr ||
+          got->data->size() != (*entry)->data_length)
+        continue;
+      data = std::move(got->data);
+    }
     ReadResult out;
-    out.data = entry->data != nullptr ? entry->data : kEmptyBytes;
-    out.records = std::move(entry->records);
+    out.data = std::move(data);
+    out.records = std::move((*entry)->records);
     out.version = id.version;
     out.retries = attempt;
     out.verified = true;  // entries are immutable and self-contained
     return out;
   }
-  return backend_error(BackendErrorCode::kConsistencyExhausted,
-                       "segment entry never became readable: " + id.object +
-                           "@" + std::to_string(id.version));
+  return never_readable(id);
 }
 
 BackendResult<ReadResult> LsbBackend::read(const std::string& object,
@@ -250,9 +289,70 @@ BackendResult<ReadResult> LsbBackend::read(const std::string& object,
 
 BackendResult<std::vector<pass::ProvenanceRecord>> LsbBackend::get_provenance(
     const std::string& object, std::uint32_t version) {
-  auto got = fetch_entry(pass::ObjectVersion{object, version}, 64);
-  if (!got) return util::Unexpected(got.error());
-  return std::move(got->records);
+  return std::move(
+      get_provenance_many({pass::ObjectVersion{object, version}}).front());
+}
+
+std::vector<BackendResult<std::vector<pass::ProvenanceRecord>>>
+LsbBackend::get_provenance_many(const std::vector<pass::ObjectVersion>& ids) {
+  using Records = std::vector<pass::ProvenanceRecord>;
+  aws::CloudEnv& env = *services_->env;
+  obs::Span span(&env.tracer(), "lsb.get_provenance_many", "lsb");
+  span.arg("ids", static_cast<std::uint64_t>(ids.size()));
+  std::vector<BackendResult<Records>> out(
+      ids.size(), backend_error(BackendErrorCode::kUnknown, "unresolved"));
+  std::vector<std::size_t> pending(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) pending[i] = i;
+  std::uint64_t gets = 0;
+  std::uint64_t bytes = 0;
+  for (std::uint32_t attempt = 0;
+       !pending.empty() && attempt <= kProvenanceRetries; ++attempt) {
+    if (attempt > 0) charge_read_retry(env);
+    // Re-resolve every pending id each round: the cleaner may have moved
+    // an entry (and deleted its old segment) since the previous attempt.
+    std::map<std::uint64_t, std::vector<std::pair<std::size_t,
+                                                  lsb::EntryLocation>>>
+        by_segment;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      for (std::size_t i : pending) {
+        auto it = index_.find(ids[i]);
+        if (it == index_.end())
+          out[i] = not_indexed(ids[i]);
+        else
+          by_segment[it->second.segment].emplace_back(i, it->second);
+      }
+    }
+    pending.clear();
+    // One range GET per segment, from the first wanted records part to the
+    // end of the last: records parts are contiguous, so it moves records
+    // only.
+    for (const auto& [segment, wanted] : by_segment) {
+      std::uint64_t begin = wanted.front().second.offset;
+      std::uint64_t end = 0;
+      for (const auto& [i, loc] : wanted) {
+        begin = std::min(begin, loc.offset);
+        end = std::max(end, loc.offset + loc.length);
+      }
+      auto got = services_->s3.get_range(
+          lsb::kSegmentBucket, lsb::segment_key(segment), begin, end - begin);
+      ++gets;
+      if (got && got->data != nullptr) bytes += got->data->size();
+      for (const auto& [i, loc] : wanted) {
+        auto entry = slice_entry(got, begin, loc, ids[i]);
+        if (!entry)
+          pending.push_back(i);
+        else if (!*entry)
+          out[i] = util::Unexpected(entry->error());
+        else
+          out[i] = std::move((*entry)->records);
+      }
+    }
+  }
+  for (std::size_t i : pending) out[i] = never_readable(ids[i]);
+  span.arg("segments", gets);
+  span.arg("bytes", bytes);
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -438,7 +538,7 @@ std::size_t LsbBackend::compact() {
     for (lsb::PlacedEntry& placed : seg->entries) {
       auto it = index_.find(placed.entry.id);
       if (it == index_.end() || it->second.segment != id ||
-          it->second.offset != placed.offset)
+          it->second.offset != placed.location.offset)
         continue;  // superseded by a later copy: dead, not rewritten
       auto latest = latest_.find(placed.entry.id.object);
       const bool is_latest = latest != latest_.end() &&
@@ -594,12 +694,15 @@ void LsbBackend::rebuild_from_index() {
             PROVCLOUD_REQUIRE_MSG(
                 lsb::unpack_postings(value, segment, postings),
                 "corrupt index chunk: " + item);
+        // A segment's chunk items hold a posting for every entry in it, so
+        // its header plus their footprints is the object's size.
         std::lock_guard<std::mutex> lk(mu_);
         SegmentInfo& info = segments_[segment];
+        if (info.bytes == 0) info.bytes = lsb::segment_header_size(segment);
         info.chunk_items = std::max(info.chunk_items, chunk + 1);
         info.entries += postings.size();
         for (const lsb::Posting& p : postings) {
-          info.bytes += p.second.length;
+          info.bytes += p.second.footprint();
           index_entry_locked(p.first, p.second);
         }
       }
@@ -655,15 +758,9 @@ void LsbBackend::replay_orphans() {
     pending_posting_count_ -= std::min<std::uint64_t>(pending_posting_count_,
                                                       pending.size());
     pending.clear();
-    for (lsb::PlacedEntry& placed : seg->entries) {
-      lsb::EntryLocation loc;
-      loc.segment = id;
-      loc.offset = placed.offset;
-      loc.length = placed.length;
-      loc.data_bytes =
-          placed.entry.data != nullptr ? placed.entry.data->size() : 0;
-      index_entry_locked(placed.entry.id, loc);
-      pending.emplace_back(placed.entry.id, loc);
+    for (const lsb::PlacedEntry& placed : seg->entries) {
+      index_entry_locked(placed.entry.id, placed.location);
+      pending.emplace_back(placed.entry.id, placed.location);
       ++pending_posting_count_;
     }
     next_segment_id_ = std::max(next_segment_id_, id + 1);

@@ -30,11 +30,23 @@
 // walks are bit-identical before and after.
 //
 // One sealer writes every segment, for a commit group and for the cleaner
-// alike: it cuts the entries into runs at segment_cap_bytes, encoding each
-// run as it goes, PUTs the run, fires the caller's crash point, and only
-// then hands the durable run to the caller's bookkeeping (tickets and the
-// publish buffer for a group; re-homing and republication for the
-// cleaner).
+// alike: it cuts the entries into runs at segment_cap_bytes (data plus
+// records bytes), encoding each run as it goes, PUTs the run, fires the
+// caller's crash point, and only then hands the durable run to the
+// caller's bookkeeping (tickets and the publish buffer for a group;
+// re-homing and republication for the cleaner).
+//
+// Reads never move data they do not return. A segment keeps its entries'
+// data and their records in two regions (lsb/format.hpp), and a posting
+// points at an entry's records part. get_provenance_many, which
+// fetch_ancestry calls once per BFS frontier, resolves every id under the
+// lock, groups the ids by segment and makes one range GET per segment,
+// from the first wanted records part to the end of the last, so a walk
+// reads records only, as an Arch 1 HEAD does. read() makes two range GETs,
+// the records part and then the data (one for an entry without data), the
+// round trips of an Arch 2 read. Both re-resolve pending entries on every
+// retry, because the cleaner may move them, and a whole slice that does
+// not decode to the id asked for fails at once as kCorrupt.
 #pragma once
 
 #include <cstdint>
@@ -91,13 +103,21 @@ class LsbBackend final : public ProvenanceBackend {
   void commit_group(const std::vector<TicketState*>& group,
                     sim::LatencyLedger* ledger) override;
 
-  /// Latest data + provenance of `object`, served by one byte-range GET
-  /// into its segment (immutable, so only propagation visibility can race;
-  /// retries are charged like every consistency loop).
+  /// Latest data + provenance of `object`: a byte-range GET of its records
+  /// part, then one of its data (skipped when it has none). Segments are
+  /// immutable, so only propagation visibility can race; retries are
+  /// charged like every consistency loop.
   BackendResult<ReadResult> read(const std::string& object,
                                  std::uint32_t max_retries = 64) override;
+  /// A batch of one get_provenance_many.
   BackendResult<std::vector<pass::ProvenanceRecord>> get_provenance(
       const std::string& object, std::uint32_t version) override;
+  /// One range GET per segment per attempt, spanning records only; unknown
+  /// ids get kNotFound in their slots. Ids still pending re-resolve and
+  /// retry (64 times, then kConsistencyExhausted). Traced as the span
+  /// lsb.get_provenance_many (args: ids, segments = range GETs, bytes).
+  std::vector<BackendResult<std::vector<pass::ProvenanceRecord>>>
+  get_provenance_many(const std::vector<pass::ObjectVersion>& ids) override;
 
   /// Client-restart recovery: rebuild the in-memory index from the durable
   /// postings, replay unindexed (orphan) segments, and delete segments
@@ -151,7 +171,7 @@ class LsbBackend final : public ProvenanceBackend {
   /// In-memory image of one live segment (accounting only; entry payloads
   /// stay in S3).
   struct SegmentInfo {
-    std::uint64_t bytes = 0;
+    std::uint64_t bytes = 0;  // the object's size, header included
     std::uint64_t garbage_bytes = 0;
     std::uint64_t entries = 0;
     /// Published index chunk items ("idx-<seg>-0" .. "-<chunks-1>"), so the
@@ -190,7 +210,8 @@ class LsbBackend final : public ProvenanceBackend {
   void index_entry_locked(const pass::ObjectVersion& id,
                           const lsb::EntryLocation& loc);
   /// Fetch one close by identity: per-attempt index lookup (compaction may
-  /// move it) plus a byte-range GET, retrying propagation races.
+  /// move it), then range GETs of its records part and its data, retrying
+  /// propagation races.
   BackendResult<ReadResult> fetch_entry(const pass::ObjectVersion& id,
                                         std::uint32_t max_retries);
   /// Publish packed postings as chunk items (batched per shard domain),

@@ -111,8 +111,8 @@ class LsbQueryEngine final : public QueryEngine {
         auto seg = lsb::decode_segment(*got->data);
         if (!seg) continue;
         for (lsb::PlacedEntry& placed : seg->entries) {
-          const std::pair<std::uint64_t, std::uint64_t> place{seg->id,
-                                                              placed.offset};
+          const std::pair<std::uint64_t, std::uint64_t> place{
+              seg->id, placed.location.offset};
           auto it = out.find(placed.entry.id);
           if (it != out.end() && it->second.place >= place) continue;
           out[placed.entry.id] =

@@ -2,94 +2,22 @@
 
 #include <algorithm>
 
-#include "cloudprov/serialize.hpp"
+#include "cloudprov/wire_codec.hpp"
 
 namespace provcloud::cloudprov::manifest {
+
+using wire::append_u64;
+using wire::Cursor;
 
 namespace {
 
 constexpr const char* kBlockMagic = "PMB1\n";
 constexpr const char* kListMagic = "PML1\n";
 
-void append_u64(std::string& out, std::uint64_t v) {
-  out += std::to_string(v);
-}
-
-/// Cursor over a length-prefixed buffer. All read_* methods return false on
-/// any framing violation, which the decoders surface as nullopt.
-struct Cursor {
-  const std::string& buf;
-  std::size_t pos = 0;
-
-  bool expect(const char* literal) {
-    const std::size_t n = std::char_traits<char>::length(literal);
-    if (buf.compare(pos, n, literal) != 0) return false;
-    pos += n;
-    return true;
-  }
-
-  bool read_u64(std::uint64_t& out) {
-    if (pos >= buf.size() || buf[pos] < '0' || buf[pos] > '9') return false;
-    std::uint64_t v = 0;
-    while (pos < buf.size() && buf[pos] >= '0' && buf[pos] <= '9') {
-      v = v * 10 + static_cast<std::uint64_t>(buf[pos] - '0');
-      ++pos;
-    }
-    out = v;
-    return true;
-  }
-
-  bool read_sep() {
-    if (pos >= buf.size() || buf[pos] != ' ') return false;
-    ++pos;
-    return true;
-  }
-
-  bool read_nl() {
-    if (pos >= buf.size() || buf[pos] != '\n') return false;
-    ++pos;
-    return true;
-  }
-
-  bool read_bytes(std::size_t n, std::string& out) {
-    if (pos + n > buf.size()) return false;
-    out.assign(buf, pos, n);
-    pos += n;
-    return true;
-  }
-};
-
-void encode_record(std::string& out, const pass::ProvenanceRecord& r) {
-  const std::string value = r.value_string();
-  append_u64(out, r.attribute.size());
-  out += ' ';
-  append_u64(out, value.size());
-  out += ' ';
-  out += r.is_xref() ? '1' : '0';
-  out += '\n';
-  out += r.attribute;
-  out += value;
-}
-
-bool decode_record(Cursor& c, pass::ProvenanceRecord& out) {
-  std::uint64_t attr_len = 0, value_len = 0, xref = 0;
-  if (!c.read_u64(attr_len) || !c.read_sep() || !c.read_u64(value_len) ||
-      !c.read_sep() || !c.read_u64(xref) || !c.read_nl())
-    return false;
-  std::string attribute, value;
-  if (!c.read_bytes(attr_len, attribute) || !c.read_bytes(value_len, value))
-    return false;
-  if (xref == 1) {
-    std::string object;
-    std::uint32_t version = 0;
-    if (!parse_item_name(value, object, version)) return false;
-    out = pass::make_xref_record(std::move(attribute),
-                                 pass::ObjectVersion{object, version});
-  } else {
-    out = pass::make_text_record(std::move(attribute), std::move(value));
-  }
-  return true;
-}
+/// Shortest encodings, bounding counts read from untrusted bytes: an
+/// entry line "0 0 0\n", a block line of seven numbers.
+constexpr std::size_t kMinEntryBytes = 6;
+constexpr std::size_t kMinBlockBytes = 14;
 
 }  // namespace
 
@@ -114,7 +42,8 @@ std::string encode_block(const std::vector<ManifestEntry>& entries) {
     append_u64(out, e.records.size());
     out += '\n';
     out += e.id.object;
-    for (const pass::ProvenanceRecord& r : e.records) encode_record(out, r);
+    for (const pass::ProvenanceRecord& r : e.records)
+      wire::encode_record(out, r);
   }
   return out;
 }
@@ -123,23 +52,21 @@ std::optional<std::vector<ManifestEntry>> decode_block(const std::string& raw) {
   Cursor c{raw};
   if (!c.expect(kBlockMagic)) return std::nullopt;
   std::uint64_t count = 0;
-  if (!c.read_u64(count) || !c.read_nl()) return std::nullopt;
+  if (!c.read_count(count, kMinEntryBytes) || !c.read_nl())
+    return std::nullopt;
   std::vector<ManifestEntry> out;
   out.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t object_len = 0, version = 0, records = 0;
-    if (!c.read_u64(object_len) || !c.read_sep() || !c.read_u64(version) ||
-        !c.read_sep() || !c.read_u64(records) || !c.read_nl())
-      return std::nullopt;
+    std::uint64_t object_len = 0, records = 0;
     ManifestEntry e;
-    if (!c.read_bytes(object_len, e.id.object)) return std::nullopt;
-    e.id.version = static_cast<std::uint32_t>(version);
-    e.records.resize(records);
-    for (std::uint64_t r = 0; r < records; ++r)
-      if (!decode_record(c, e.records[r])) return std::nullopt;
+    if (!c.read_u64(object_len) || !c.read_sep() ||
+        !c.read_u32(e.id.version) || !c.read_sep() || !c.read_u64(records) ||
+        !c.read_nl() || !c.read_bytes(object_len, e.id.object) ||
+        !wire::decode_records(c, records, e.records))
+      return std::nullopt;
     out.push_back(std::move(e));
   }
-  if (c.pos != raw.size()) return std::nullopt;
+  if (!c.done()) return std::nullopt;
   return out;
 }
 
@@ -180,16 +107,15 @@ std::optional<ManifestList> decode_manifest_list(const std::string& raw) {
   std::uint64_t block_count = 0;
   if (!c.read_u64(list.snapshot_id) || !c.read_sep() ||
       !c.read_u64(list.total_entries) || !c.read_sep() ||
-      !c.read_u64(block_count) || !c.read_nl())
+      !c.read_count(block_count, kMinBlockBytes) || !c.read_nl())
     return std::nullopt;
   list.blocks.reserve(block_count);
   for (std::uint64_t i = 0; i < block_count; ++i) {
-    std::uint64_t key_len = 0, min_len = 0, min_ver = 0, max_len = 0,
-                  max_ver = 0;
+    std::uint64_t key_len = 0, min_len = 0, max_len = 0;
     BlockStats b;
     if (!c.read_u64(key_len) || !c.read_sep() || !c.read_u64(min_len) ||
-        !c.read_sep() || !c.read_u64(min_ver) || !c.read_sep() ||
-        !c.read_u64(max_len) || !c.read_sep() || !c.read_u64(max_ver) ||
+        !c.read_sep() || !c.read_u32(b.min.version) || !c.read_sep() ||
+        !c.read_u64(max_len) || !c.read_sep() || !c.read_u32(b.max.version) ||
         !c.read_sep() || !c.read_u64(b.entries) || !c.read_sep() ||
         !c.read_u64(b.bytes) || !c.read_nl())
       return std::nullopt;
@@ -197,11 +123,9 @@ std::optional<ManifestList> decode_manifest_list(const std::string& raw) {
         !c.read_bytes(min_len, b.min.object) ||
         !c.read_bytes(max_len, b.max.object))
       return std::nullopt;
-    b.min.version = static_cast<std::uint32_t>(min_ver);
-    b.max.version = static_cast<std::uint32_t>(max_ver);
     list.blocks.push_back(std::move(b));
   }
-  if (c.pos != raw.size()) return std::nullopt;
+  if (!c.done()) return std::nullopt;
   return list;
 }
 

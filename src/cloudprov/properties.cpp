@@ -325,16 +325,23 @@ StateViolations check_state(Architecture arch, CloudServices& services,
               ++v.atomicity;  // unparseable posting value
               continue;
             }
+            // A posting names the entry's records part, which names the
+            // entry's data: the records part must lie inside the segment,
+            // and the data (of the posting's size) before it.
             for (const auto& [ov, loc] : postings) {
               auto bit = blobs.find(loc.segment);
-              if (bit == blobs.end() ||
-                  loc.offset + loc.length > bit->second->size()) {
+              if (bit == blobs.end() || loc.offset > bit->second->size() ||
+                  loc.length > bit->second->size() - loc.offset) {
                 ++v.atomicity;  // posting into a missing/short segment
                 continue;
               }
               auto entry = lsb::decode_entry(
-                  bit->second->substr(loc.offset, loc.length));
-              if (!entry || !(entry->id == ov)) ++v.atomicity;
+                  util::BytesView(*bit->second).substr(loc.offset, loc.length));
+              if (!entry || !(entry->id == ov) ||
+                  entry->data_length != loc.data_bytes ||
+                  entry->data_offset > loc.offset ||
+                  entry->data_length > loc.offset - entry->data_offset)
+                ++v.atomicity;
             }
           }
         }

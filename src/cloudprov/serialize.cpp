@@ -1,6 +1,7 @@
 #include "cloudprov/serialize.hpp"
 
 #include <cstring>
+#include <limits>
 
 #include "util/require.hpp"
 #include "util/string_utils.hpp"
@@ -17,10 +18,14 @@ bool parse_item_name(const std::string& item, std::string& object,
                      std::uint32_t& version) {
   const std::size_t pos = item.rfind(':');
   if (pos == std::string::npos || pos + 1 >= item.size()) return false;
-  for (std::size_t i = pos + 1; i < item.size(); ++i)
+  std::uint64_t v = 0;
+  for (std::size_t i = pos + 1; i < item.size(); ++i) {
     if (item[i] < '0' || item[i] > '9') return false;
+    v = v * 10 + static_cast<std::uint64_t>(item[i] - '0');
+    if (v > std::numeric_limits<std::uint32_t>::max()) return false;
+  }
   object = item.substr(0, pos);
-  version = static_cast<std::uint32_t>(std::stoul(item.substr(pos + 1)));
+  version = static_cast<std::uint32_t>(v);
   return true;
 }
 

@@ -32,7 +32,8 @@ inline constexpr const char* kSpillMarker = "@s3:";
 /// -- the paper's "concatenation of the object name and the version".
 std::string item_name(const std::string& object, std::uint32_t version);
 
-/// Inverse of item_name; returns false on malformed input.
+/// Inverse of item_name; returns false on malformed input, including a
+/// version above UINT32_MAX.
 bool parse_item_name(const std::string& item, std::string& object,
                      std::uint32_t& version);
 

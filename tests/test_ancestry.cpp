@@ -2,6 +2,8 @@
 // and resilience to Architecture 1's lost-old-version limitation.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "cloudprov/ancestry.hpp"
 #include "pass/observer.hpp"
 
@@ -152,6 +154,77 @@ TEST(AncestryTest, Arch1ReportsMissingOldVersions) {
   for (const auto& m : r.missing) f1_missing |= (m == pass::ObjectVersion{"f", 1});
   EXPECT_TRUE(f1_missing);
 }
+
+class DefaultBatchTest : public ::testing::TestWithParam<Architecture> {};
+
+TEST_P(DefaultBatchTest, BatchedFetchMakesThePerIdRequests) {
+  // A backend that keeps the default get_provenance_many makes exactly the
+  // requests, bytes and latency draws of one get_provenance per id: twin
+  // worlds, one fetched id by id and one in a batch, bill the same.
+  World per_id(GetParam());
+  World batched(GetParam());
+  // Walk both twins, so they stay in step, to learn the ids worth asking.
+  const AncestryResult walked = fetch_ancestry(*per_id.backend, "c", 1);
+  fetch_ancestry(*batched.backend, "c", 1);
+  std::vector<ObjectVersion> ids = walked.missing;
+  for (const auto& [id, node] : walked.graph.nodes()) ids.push_back(id);
+  ids.push_back(ObjectVersion{"never-stored", 1});
+  ASSERT_GT(ids.size(), 4u);
+
+  const auto bill = [](World& w, const auto& fetch) {
+    const auto before = w.env.meter().snapshot();
+    const auto elapsed = w.env.latency_ledger().elapsed();
+    auto results = fetch(*w.backend);
+    return std::make_tuple(std::move(results),
+                           w.env.meter().snapshot().diff(before).counters,
+                           w.env.latency_ledger().elapsed() - elapsed);
+  };
+  const auto [one_by_one, one_bill, one_elapsed] =
+      bill(per_id, [&ids](ProvenanceBackend& b) {
+        std::vector<BackendResult<std::vector<ProvenanceRecord>>> out;
+        for (const ObjectVersion& id : ids)
+          out.push_back(b.get_provenance(id.object, id.version));
+        return out;
+      });
+  const auto [many, many_bill, many_elapsed] =
+      bill(batched, [&ids](ProvenanceBackend& b) {
+        return b.get_provenance_many(ids);
+      });
+
+  ASSERT_EQ(many.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_EQ(many[i].has_value(), one_by_one[i].has_value()) << i;
+    if (many[i])
+      EXPECT_EQ(*many[i], *one_by_one[i]) << i;
+    else
+      EXPECT_EQ(many[i].error().code, one_by_one[i].error().code) << i;
+  }
+  ASSERT_EQ(many_bill.size(), one_bill.size());
+  for (const auto& [key, counter] : one_bill) {
+    const auto it = many_bill.find(key);
+    ASSERT_NE(it, many_bill.end()) << key.first << " " << key.second;
+    EXPECT_EQ(it->second.calls, counter.calls) << key.second;
+    EXPECT_EQ(it->second.bytes_in, counter.bytes_in) << key.second;
+    EXPECT_EQ(it->second.bytes_out, counter.bytes_out) << key.second;
+  }
+  EXPECT_EQ(many_elapsed, one_elapsed);
+}
+
+INSTANTIATE_TEST_SUITE_P(PerIdArchitectures, DefaultBatchTest,
+                         ::testing::Values(Architecture::kS3Only,
+                                           Architecture::kS3SimpleDb,
+                                           Architecture::kS3SimpleDbSqs),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case Architecture::kS3Only: return "S3";
+                             case Architecture::kS3SimpleDb: return "S3SimpleDB";
+                             case Architecture::kS3SimpleDbSqs:
+                               return "S3SimpleDBSQS";
+                             case Architecture::kS3SegmentLog:
+                               return "S3SegmentLog";
+                           }
+                           return "unknown";
+                         });
 
 TEST(AncestryGraphTest, EmptyGraphBehaves) {
   AncestryGraph g;

@@ -3,7 +3,10 @@
 // slow-but-not-crashed S3 seal path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
+#include <set>
 
 #include "cloudprov/ancestry.hpp"
 #include "cloudprov/lsb/format.hpp"
@@ -53,6 +56,18 @@ bool ancestry_equal(const AncestryResult& a, const AncestryResult& b) {
 
 // --- wire format ---
 
+/// Seal `entries` into one segment object; `locations` gets each posting.
+std::string seal_segment(std::uint64_t id,
+                         const std::vector<lsb::SegmentEntry>& entries,
+                         std::vector<lsb::EntryLocation>* locations = nullptr) {
+  lsb::SegmentWriter writer(id);
+  for (const lsb::SegmentEntry& e : entries)
+    EXPECT_TRUE(writer.append(e, UINT64_MAX));
+  std::string blob = writer.finish();
+  if (locations != nullptr) *locations = writer.locations();
+  return blob;
+}
+
 TEST(LsbFormatTest, EntryRoundTripsWithDataAndXrefs) {
   lsb::SegmentEntry in;
   in.id = ObjectVersion{"data/a", 3};
@@ -62,14 +77,27 @@ TEST(LsbFormatTest, EntryRoundTripsWithDataAndXrefs) {
                 make_xref_record(attr::kInput, ObjectVersion{"proc:7", 1}),
                 make_xref_record(attr::kPrev, ObjectVersion{"data/a", 2})};
 
-  const std::string blob = lsb::encode_entry(in);
-  auto out = lsb::decode_entry(blob);
+  std::vector<lsb::EntryLocation> locs;
+  const std::string blob = seal_segment(7, {in}, &locs);
+  ASSERT_EQ(locs.size(), 1u);
+  EXPECT_EQ(locs[0].data_bytes, 300u);
+  // The posting's range holds the records part; it names the data.
+  auto out = lsb::decode_entry(
+      std::string_view(blob).substr(locs[0].offset, locs[0].length));
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->id, in.id);
   EXPECT_EQ(out->kind, in.kind);
-  ASSERT_NE(out->data, nullptr);
-  EXPECT_EQ(*out->data, *in.data);
   EXPECT_EQ(out->records, in.records);
+  ASSERT_TRUE(out->has_data);
+  EXPECT_EQ(blob.substr(out->data_offset, out->data_length), *in.data);
+  // The whole object decodes to the same entry, data included.
+  auto seg = lsb::decode_segment(blob);
+  ASSERT_TRUE(seg.has_value());
+  ASSERT_EQ(seg->entries.size(), 1u);
+  ASSERT_NE(seg->entries[0].entry.data, nullptr);
+  EXPECT_EQ(*seg->entries[0].entry.data, *in.data);
+  EXPECT_EQ(seg->entries[0].entry.records, in.records);
+  EXPECT_EQ(seg->entries[0].location, locs[0]);
 }
 
 TEST(LsbFormatTest, TransientEntryCarriesNoData) {
@@ -77,41 +105,59 @@ TEST(LsbFormatTest, TransientEntryCarriesNoData) {
   in.id = ObjectVersion{"proc:9", 1};
   in.kind = PnodeKind::kProcess;
   in.records = {make_text_record("NAME", "/bin/sh")};
-  auto out = lsb::decode_entry(lsb::encode_entry(in));
+  std::vector<lsb::EntryLocation> locs;
+  const std::string blob = seal_segment(9, {in}, &locs);
+  auto out = lsb::decode_entry(
+      std::string_view(blob).substr(locs[0].offset, locs[0].length));
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->kind, PnodeKind::kProcess);
-  EXPECT_EQ(out->data, nullptr);
+  EXPECT_FALSE(out->has_data);
+  EXPECT_EQ(out->data_length, 0u);
+  // Nothing in the data region: the header, then the records part.
+  EXPECT_EQ(locs[0].data_bytes, 0u);
+  EXPECT_EQ(locs[0].offset, lsb::segment_header_size(9));
+  EXPECT_EQ(blob.size(), locs[0].offset + locs[0].length);
+  auto seg = lsb::decode_segment(blob);
+  ASSERT_TRUE(seg.has_value());
+  EXPECT_EQ(seg->entries[0].entry.data, nullptr);
 }
 
 TEST(LsbFormatTest, SegmentPlacementsSupportRangeDecodes) {
-  std::string blob = lsb::segment_header(42);
   std::vector<lsb::SegmentEntry> entries;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
+  std::uint64_t data_total = 0;
   for (int i = 0; i < 5; ++i) {
     lsb::SegmentEntry e;
     e.id = ObjectVersion{"f" + std::to_string(i), 1};
     e.kind = PnodeKind::kFile;
     e.data = util::make_shared_bytes(std::string(40 + i, 'd'));
     e.records = {make_text_record("NAME", e.id.object)};
-    const std::string encoded = lsb::encode_entry(e);
-    spans.emplace_back(blob.size(), encoded.size());
-    blob += encoded;
+    data_total += e.data->size();
     entries.push_back(std::move(e));
   }
+  std::vector<lsb::EntryLocation> locs;
+  const std::string blob = seal_segment(42, entries, &locs);
   auto seg = lsb::decode_segment(blob);
   ASSERT_TRUE(seg.has_value());
   EXPECT_EQ(seg->id, 42u);
   ASSERT_EQ(seg->entries.size(), 5u);
+  // The data region comes first, the records region after it.
+  EXPECT_EQ(locs[0].offset, lsb::segment_header_size(42) + data_total);
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(seg->entries[i].offset, spans[i].first);
-    EXPECT_EQ(seg->entries[i].length, spans[i].second);
+    EXPECT_EQ(seg->entries[i].location, locs[i]);
     // The posting contract: a byte-range GET of (offset, length) decodes
     // the entry without the rest of the segment.
     auto ranged = lsb::decode_entry(
-        blob.substr(seg->entries[i].offset, seg->entries[i].length));
+        std::string_view(blob).substr(locs[i].offset, locs[i].length));
     ASSERT_TRUE(ranged.has_value()) << i;
     EXPECT_EQ(ranged->id, entries[i].id);
+    EXPECT_EQ(blob.substr(ranged->data_offset, ranged->data_length),
+              *entries[i].data);
+    // Records parts are back to back, so one GET spans any run of them.
+    if (i > 0) {
+      EXPECT_EQ(locs[i].offset, locs[i - 1].offset + locs[i - 1].length);
+    }
   }
+  EXPECT_EQ(blob.size(), locs[4].offset + locs[4].length);
 }
 
 TEST(LsbFormatTest, PostingsPackUnder1KbAndRoundTrip) {
@@ -211,6 +257,314 @@ TEST(LsbBackendTest, OldVersionProvenanceStaysRetrievable) {
   EXPECT_FALSE(old_prov->empty());
 }
 
+// --- the records-only read path ---
+
+/// Ground truth for walks: every stored close's records.
+using Truth = std::map<ObjectVersion, std::vector<ProvenanceRecord>>;
+
+AncestryResult truth_walk(const Truth& truth, const ObjectVersion& root) {
+  return walk_ancestry(
+      [&truth](const std::vector<ObjectVersion>& ids) {
+        std::vector<BackendResult<std::vector<ProvenanceRecord>>> out(
+            ids.size(), backend_error(BackendErrorCode::kNotFound, ""));
+        for (std::size_t i = 0; i < ids.size(); ++i)
+          if (auto it = truth.find(ids[i]); it != truth.end())
+            out[i] = it->second;
+        return out;
+      },
+      root.object, root.version);
+}
+
+/// The classic walk: one get_provenance per node.
+AncestryResult per_node_walk(ProvenanceBackend& backend,
+                             const ObjectVersion& root) {
+  return walk_ancestry(
+      [&backend](const std::vector<ObjectVersion>& ids) {
+        std::vector<BackendResult<std::vector<ProvenanceRecord>>> out;
+        for (const ObjectVersion& id : ids)
+          out.push_back(backend.get_provenance(id.object, id.version));
+        return out;
+      },
+      root.object, root.version);
+}
+
+/// Store "hot" versions 1..`versions`, each 600 data bytes and derived from
+/// the one before, each with a cold file derived from it. At a 1 KiB cap
+/// each close is its own segment, so superseded hot versions leave their
+/// segments mostly garbage.
+Truth store_hot_chain(ProvenanceBackend& backend, std::uint32_t versions) {
+  Truth truth;
+  for (std::uint32_t v = 1; v <= versions; ++v) {
+    std::vector<ProvenanceRecord> hot = {make_text_record("NAME", "hot")};
+    if (v > 1)
+      hot.push_back(make_xref_record(attr::kPrev, ObjectVersion{"hot", v - 1}));
+    truth[ObjectVersion{"hot", v}] = hot;
+    backend.store(file_unit("hot", v, std::string(600, 'h'), hot));
+    const std::string cold = "cold/f" + std::to_string(v);
+    std::vector<ProvenanceRecord> rec = {
+        make_text_record("NAME", cold),
+        make_xref_record(attr::kInput, ObjectVersion{"hot", v})};
+    truth[ObjectVersion{cold, 1}] = rec;
+    backend.store(file_unit(cold, 1, "c", rec));
+  }
+  return truth;
+}
+
+LsbBackendConfig one_close_per_segment() {
+  LsbBackendConfig cfg;
+  cfg.segment_cap_bytes = util::kKiB;
+  cfg.auto_clean = false;
+  return cfg;
+}
+
+TEST(LsbReadPathTest, FrontierInTwoSegmentsCostsTwoGetsOfRecordsOnly) {
+  aws::CloudEnv env(40, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  LsbBackend backend(services);
+  Truth truth;
+  for (int g = 0; g < 2; ++g) {
+    auto session = backend.open_session(SessionConfig{.max_group = 3});
+    for (int i = 0; i < 3; ++i) {
+      const std::string name =
+          "g" + std::to_string(g) + "/f" + std::to_string(i);
+      FlushUnit u = file_unit(name, 1, std::string(4096, 'd'));
+      truth[ObjectVersion{name, 1}] = u.records;
+      session->submit(u);
+    }
+    ASSERT_TRUE(session->sync().has_value());
+  }
+  ASSERT_EQ(backend.stats().segment_count, 2u);
+  // The records regions of both segments, which hold nothing else.
+  std::uint64_t records_bytes = 0;
+  for (std::uint64_t id : {1u, 2u}) {
+    auto obj = services.s3.peek(lsb::kSegmentBucket, lsb::segment_key(id));
+    ASSERT_TRUE(obj.has_value());
+    records_bytes += obj->data->size() - lsb::segment_header_size(id) -
+                     3 * 4096;
+  }
+
+  // One frontier, its ids interleaved across the two segments.
+  std::vector<ObjectVersion> ids;
+  for (int i = 0; i < 3; ++i)
+    for (int g = 0; g < 2; ++g)
+      ids.push_back({"g" + std::to_string(g) + "/f" + std::to_string(i), 1});
+  const sim::MeterSnapshot before = env.meter().snapshot();
+  const auto got = backend.get_provenance_many(ids);
+  const sim::MeterSnapshot diff = env.meter().snapshot().diff(before);
+  EXPECT_EQ(diff.calls("s3", "GET"), 2u);
+  EXPECT_EQ(diff.bytes_out("s3", "GET"), records_bytes);
+  EXPECT_LT(records_bytes, 4096u);  // not one file's worth of data
+  ASSERT_EQ(got.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_TRUE(got[i].has_value()) << i;
+    EXPECT_EQ(*got[i], truth[ids[i]]) << i;
+  }
+}
+
+TEST(LsbReadPathTest, ProvenanceOfAMebibyteFileMovesUnderOneKibibyte) {
+  aws::CloudEnv env(41, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  LsbBackend backend(services);
+  backend.store(file_unit("big", 1, std::string(util::kMiB, 'b')));
+  const sim::MeterSnapshot before = env.meter().snapshot();
+  auto prov = backend.get_provenance("big", 1);
+  const sim::MeterSnapshot diff = env.meter().snapshot().diff(before);
+  ASSERT_TRUE(prov.has_value());
+  EXPECT_FALSE(prov->empty());
+  EXPECT_EQ(diff.calls("s3", "GET"), 1u);
+  EXPECT_LT(diff.bytes_out("s3", "GET"), util::kKiB);
+}
+
+TEST(LsbReadPathTest, ReadMakesTwoGetsOrOneWithoutData) {
+  aws::CloudEnv env(42, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  LsbBackend backend(services);
+  const FlushUnit file = file_unit("f", 1, "file bytes");
+  backend.store(file);
+  FlushUnit proc;
+  proc.object = "proc:1";
+  proc.version = 1;
+  proc.kind = PnodeKind::kProcess;
+  proc.records = {make_text_record(attr::kName, "/bin/cat")};
+  backend.store(proc);
+
+  sim::MeterSnapshot before = env.meter().snapshot();
+  auto got = backend.read("f");
+  sim::MeterSnapshot diff = env.meter().snapshot().diff(before);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got->data, "file bytes");
+  EXPECT_EQ(got->records, file.records);
+  EXPECT_EQ(diff.calls("s3", "GET"), 2u);  // records part, then data
+
+  before = env.meter().snapshot();
+  got = backend.read("proc:1");
+  diff = env.meter().snapshot().diff(before);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_TRUE(got->data->empty());
+  EXPECT_EQ(got->records, proc.records);
+  EXPECT_EQ(diff.calls("s3", "GET"), 1u);  // no data to fetch
+}
+
+TEST(LsbReadPathTest, CorruptEntryFailsAfterOneGet) {
+  // A whole slice that does not decode to the id asked for cannot be a
+  // propagation race: the segment is immutable, so both read paths give up
+  // after the one GET instead of spending the retry budget.
+  aws::CloudEnv env(43, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  LsbBackend backend(services);
+  backend.store(file_unit("big", 1, std::string(util::kMiB, 'b')));
+  backend.store(file_unit("other", 1, "x"));
+  // Overwrite the bytes at `skip` past the start of segment `segment`'s
+  // only records part.
+  const auto corrupt = [&](std::uint64_t segment, std::size_t skip,
+                           const std::string& with) {
+    const std::string key = lsb::segment_key(segment);
+    std::string bytes = *services.s3.peek(lsb::kSegmentBucket, key)->data;
+    const std::size_t entry = bytes.rfind("E2 ");
+    ASSERT_NE(entry, std::string::npos);
+    bytes.replace(entry + skip, with.size(), with);
+    ASSERT_TRUE(services.s3.put(lsb::kSegmentBucket, key, bytes).has_value());
+  };
+  const auto expect_corrupt_after_one_get = [&](const auto& fetch) {
+    const sim::MeterSnapshot before = env.meter().snapshot();
+    const BackendErrorCode code = fetch();
+    const sim::MeterSnapshot diff = env.meter().snapshot().diff(before);
+    EXPECT_EQ(code, BackendErrorCode::kCorrupt);
+    EXPECT_EQ(diff.calls("s3", "GET"), 1u);
+    EXPECT_LT(diff.bytes_out("s3", "GET"), util::kKiB);
+  };
+
+  corrupt(1, 0, "X");  // the entry magic
+  expect_corrupt_after_one_get(
+      [&] { return backend.get_provenance("big", 1).error().code; });
+  expect_corrupt_after_one_get(
+      [&] { return backend.read("big").error().code; });
+  // A well-formed entry of another object where the posting points: the
+  // object name follows the entry's header line, "E2 5 1 0 1 <offset> 1 2".
+  const std::string line = "E2 5 1 0 1 " +
+                           std::to_string(lsb::segment_header_size(2)) +
+                           " 1 2\n";
+  ASSERT_EQ(services.s3.peek(lsb::kSegmentBucket, lsb::segment_key(2))
+                ->data->substr(lsb::segment_header_size(2) + 1, line.size()),
+            line);
+  corrupt(2, line.size(), "OTHER");
+  expect_corrupt_after_one_get([&] {
+    return backend.get_provenance_many({{"other", 1}}).front().error().code;
+  });
+}
+
+TEST(LsbReadPathTest, BatchedWalkMatchesPerNodeWalkAndGroundTruth) {
+  aws::CloudEnv env(44, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  auto backend =
+      std::make_unique<LsbBackend>(services, one_close_per_segment());
+  const Truth truth = store_hot_chain(*backend, 8);
+  backend->quiesce();
+  const std::vector<ObjectVersion> roots = {
+      {"hot", 8}, {"cold/f8", 1}, {"cold/f4", 1}, {"hot", 1}};
+  const auto agrees = [&](ProvenanceBackend& b, const char* when) {
+    for (const ObjectVersion& root : roots) {
+      const AncestryResult batched =
+          fetch_ancestry(b, root.object, root.version);
+      EXPECT_TRUE(batched.missing.empty()) << when << " " << root.to_string();
+      EXPECT_TRUE(ancestry_equal(batched, per_node_walk(b, root)))
+          << when << " " << root.to_string();
+      EXPECT_TRUE(ancestry_equal(batched, truth_walk(truth, root)))
+          << when << " " << root.to_string();
+    }
+  };
+  EXPECT_EQ(fetch_ancestry(*backend, "hot", 8).graph.nodes().size(), 8u);
+  agrees(*backend, "before cleaning");
+  ASSERT_GT(backend->compact(), 0u);
+  agrees(*backend, "after cleaning");
+  LsbBackend fresh(services, one_close_per_segment());
+  fresh.recover();
+  agrees(fresh, "after recover");
+}
+
+TEST(LsbReadPathTest, InvisibleSegmentsAreRetriedUntilTheWalkCompletes) {
+  // Three replicas and nothing propagated yet: a segment GET sees the
+  // segment only on the coordinator, so most first attempts miss.
+  aws::CloudEnv env(45);
+  CloudServices services(env);
+  LsbBackend backend(services, one_close_per_segment());
+  const Truth truth = store_hot_chain(backend, 6);
+  const std::uint64_t retries_before =
+      env.metrics().counter("read.retries").value();
+  const AncestryResult walked = fetch_ancestry(backend, "cold/f6", 1);
+  EXPECT_TRUE(ancestry_equal(walked, truth_walk(truth, {"cold/f6", 1})));
+  EXPECT_EQ(walked.graph.nodes().size(), 7u);
+  EXPECT_GT(env.metrics().counter("read.retries").value(), retries_before);
+
+  // Unknown ids fail in their own slots; the others still resolve.
+  const auto got = backend.get_provenance_many(
+      {{"hot", 2}, {"nope", 1}, {"cold/f3", 1}, {"hot", 99}});
+  ASSERT_EQ(got.size(), 4u);
+  ASSERT_TRUE(got[0].has_value());
+  EXPECT_EQ(*got[0], truth.at({"hot", 2}));
+  ASSERT_FALSE(got[1].has_value());
+  EXPECT_EQ(got[1].error().code, BackendErrorCode::kNotFound);
+  ASSERT_TRUE(got[2].has_value());
+  EXPECT_EQ(*got[2], truth.at({"cold/f3", 1}));
+  ASSERT_FALSE(got[3].has_value());
+  EXPECT_EQ(got[3].error().code, BackendErrorCode::kNotFound);
+}
+
+/// Runs `on_retry` once, at the first consistency-retry backoff a read
+/// charges: between two attempts of the same fetch.
+class FirstRetryHook final : public sim::LedgerObserver {
+ public:
+  explicit FirstRetryHook(std::function<void()> on_retry)
+      : on_retry_(std::move(on_retry)) {}
+  void on_charge(const void*, sim::SimTime, sim::SimTime,
+                 std::string_view service) override {
+    if (fired_ || service != "idle") return;
+    fired_ = true;
+    on_retry_();
+  }
+  void on_scope_open(const void*, bool) override {}
+  void on_scope_close(const void*, bool) override {}
+  bool fired() const { return fired_; }
+
+ private:
+  std::function<void()> on_retry_;
+  bool fired_ = false;
+};
+
+TEST(LsbReadPathTest, EntriesTheCleanerMovesBetweenAttemptsReResolve) {
+  aws::CloudEnv env(46);
+  CloudServices services(env);
+  LsbBackend backend(services, one_close_per_segment());
+  const Truth truth = store_hot_chain(backend, 6);
+  backend.quiesce();  // publish the index: superseded hot segments are victims
+
+  std::set<std::string> keys_before;
+  for (const std::string& key : services.s3.peek_keys(lsb::kSegmentBucket))
+    keys_before.insert(key);
+  std::size_t cleaned = 0;
+  FirstRetryHook hook([&] { cleaned = backend.compact(); });
+  env.latency_ledger().set_observer(&hook);
+  std::vector<ObjectVersion> ids;
+  for (std::uint32_t v = 1; v <= 5; ++v) ids.push_back({"hot", v});
+  const auto got = backend.get_provenance_many(ids);
+  env.latency_ledger().set_observer(nullptr);
+
+  // The cleaner ran between two attempts and moved the superseded
+  // versions out of the segments the first attempt resolved them to.
+  ASSERT_TRUE(hook.fired());
+  EXPECT_GT(cleaned, 0u);
+  std::size_t deleted = 0;
+  const auto keys_after = services.s3.peek_keys(lsb::kSegmentBucket);
+  for (const std::string& key : keys_before)
+    deleted += std::count(keys_after.begin(), keys_after.end(), key) == 0;
+  EXPECT_GT(deleted, 0u);
+  ASSERT_EQ(got.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_TRUE(got[i].has_value()) << ids[i].to_string();
+    EXPECT_EQ(*got[i], truth.at(ids[i])) << ids[i].to_string();
+  }
+}
+
 // --- deferred publication and recovery ---
 
 TEST(LsbBackendTest, FreshBackendRebuildsFromPublishedIndex) {
@@ -236,6 +590,48 @@ TEST(LsbBackendTest, FreshBackendRebuildsFromPublishedIndex) {
   // Reads resolve through the rebuilt index: byte-range GETs, no scans.
   const sim::MeterSnapshot diff = env.meter().snapshot().diff(before);
   EXPECT_EQ(diff.calls("s3", "LIST"), 0u);
+}
+
+TEST(LsbBackendTest, RecoveredSegmentAccountingEqualsTheLiveAccounting) {
+  // A fresh recover() rebuilds each segment's size from its postings: the
+  // header plus every entry's records and data. Overwrites leave garbage
+  // in the first two segments, so live bytes must agree too.
+  aws::CloudEnv env(47, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  LsbBackendConfig cfg;
+  cfg.auto_clean = false;
+  LsbBackend live(services, cfg);
+  for (std::uint32_t group = 1; group <= 3; ++group) {
+    auto session = live.open_session(SessionConfig{.max_group = 3});
+    session->submit(file_unit("a", group, std::string(300 * group, 'a')));
+    session->submit(file_unit("b" + std::to_string(group), 1, "bee"));
+    FlushUnit proc;
+    proc.object = "proc:" + std::to_string(group);
+    proc.version = 1;
+    proc.kind = PnodeKind::kProcess;
+    proc.records = {make_text_record(attr::kName, "/bin/tee")};
+    session->submit(proc);
+    ASSERT_TRUE(session->sync().has_value());
+  }
+  live.quiesce();
+  const LsbBackend::SegmentStats want = live.stats();
+  ASSERT_EQ(want.segment_count, 3u);
+  ASSERT_GT(want.garbage_ratio, 0.0);
+  std::uint64_t stored = 0;
+  for (const std::string& key : services.s3.peek_keys(lsb::kSegmentBucket))
+    stored += services.s3.peek(lsb::kSegmentBucket, key)->data->size();
+  EXPECT_EQ(want.total_bytes, stored);
+
+  LsbBackend fresh(services, cfg);
+  fresh.recover();
+  const LsbBackend::SegmentStats got = fresh.stats();
+  EXPECT_EQ(got.segment_count, want.segment_count);
+  EXPECT_EQ(got.total_bytes, want.total_bytes);
+  EXPECT_EQ(got.live_bytes, want.live_bytes);
+  EXPECT_EQ(got.garbage_ratio, want.garbage_ratio);
+  EXPECT_EQ(got.delete_to, want.delete_to);
+  EXPECT_EQ(got.indexed_to, want.indexed_to);
+  EXPECT_EQ(got.pending_postings, want.pending_postings);
 }
 
 TEST(LsbBackendTest, UnpublishedSegmentsReplayAsOrphans) {
