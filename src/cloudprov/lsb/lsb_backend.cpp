@@ -92,6 +92,7 @@ LsbBackend::LsbBackend(CloudServices& services, LsbBackendConfig config)
   compact_count_ = &metrics.counter("lsb.compactions");
   compact_reclaimed_bytes_ = &metrics.counter("lsb.compact.reclaimed_bytes");
   compact_rewritten_bytes_ = &metrics.counter("lsb.compact.rewritten_bytes");
+  recover_corrupt_segments_ = &metrics.counter("lsb.recover.corrupt_segments");
   seal_entries_ = &metrics.histogram("lsb.seal.closes");
 }
 
@@ -446,7 +447,7 @@ void LsbBackend::write_meta(
                   attrs, nullptr);
 }
 
-std::optional<LsbBackend::LoadedSegment> LsbBackend::load_segment(
+BackendResult<LsbBackend::LoadedSegment> LsbBackend::load_segment(
     std::uint64_t id) {
   const std::string key = lsb::segment_key(id);
   aws::AwsResult<aws::S3GetResult> got =
@@ -455,10 +456,13 @@ std::optional<LsbBackend::LoadedSegment> LsbBackend::load_segment(
     charge_read_retry(*services_->env);
     got = services_->s3.get(lsb::kSegmentBucket, key);
   }
-  if (!got) return std::nullopt;
+  if (!got)
+    return backend_error(BackendErrorCode::kConsistencyExhausted,
+                         "segment never became readable: " + key);
   auto seg = lsb::decode_segment(*got->data);
-  PROVCLOUD_REQUIRE_MSG(seg.has_value() && seg->id == id,
-                        "undecodable segment: " + key);
+  if (!seg || seg->id != id)
+    return backend_error(BackendErrorCode::kCorrupt,
+                         "undecodable segment: " + key);
   return LoadedSegment{std::move(seg->entries), got->data->size()};
 }
 
@@ -479,7 +483,8 @@ LsbBackend::Victims LsbBackend::pick_victims_locked() const {
   for (const auto& [id, info] : segments_) {
     if (id < delete_to_) continue;  // crash debris, purged by recover()
     if (id > indexed_to_) break;
-    if (info.garbage_bytes == 0 || 2 * info.garbage_bytes < info.bytes)
+    if (info.corrupt || info.garbage_bytes == 0 ||
+        2 * info.garbage_bytes < info.bytes)
       continue;
     candidates.push_back({id, info.garbage_bytes,
                           static_cast<double>(info.garbage_bytes) /
@@ -526,13 +531,20 @@ std::size_t LsbBackend::compact() {
 
   // Collect the victims' live entries, dropping data bytes of superseded
   // file versions. Records are copied verbatim: ancestry walks are
-  // bit-identical across a cleaner pass.
+  // bit-identical across a cleaner pass. A victim that does not decode
+  // keeps its object, its postings and its place in the log: this pass
+  // neither rewrites nor retires it, and no later pass picks it.
   std::vector<lsb::SegmentEntry> live;
   std::uint64_t victim_bytes = 0;
+  std::vector<std::uint64_t> corrupt;
   for (std::uint64_t id : victims) {
-    std::optional<LoadedSegment> seg = load_segment(id);
+    BackendResult<LoadedSegment> seg = load_segment(id);
+    if (!seg && seg.error().code == BackendErrorCode::kCorrupt) {
+      corrupt.push_back(id);
+      continue;
+    }
     PROVCLOUD_REQUIRE_MSG(seg.has_value(),
-                          "cleaner GET failed: " + lsb::segment_key(id));
+                          "cleaner GET failed: " + seg.error().message);
     std::lock_guard<std::mutex> lk(mu_);
     victim_bytes += seg->bytes;
     for (lsb::PlacedEntry& placed : seg->entries) {
@@ -546,6 +558,14 @@ std::size_t LsbBackend::compact() {
       if (!is_latest) placed.entry.data = nullptr;
       live.push_back(std::move(placed.entry));
     }
+  }
+  if (!corrupt.empty()) {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (std::uint64_t id : corrupt) segments_[id].corrupt = true;
+    std::erase_if(victims, [&corrupt](std::uint64_t id) {
+      return std::binary_search(corrupt.begin(), corrupt.end(), id);
+    });
+    if (victims.empty()) return 0;
   }
 
   // Rewrite the survivors into fresh segments (higher ids) through the
@@ -748,7 +768,16 @@ void LsbBackend::replay_orphans() {
   // closes become indexed again and their postings re-enter the publish
   // buffer; a duplicated replay is a no-op on both.
   for (std::uint64_t id : replay) {
-    std::optional<LoadedSegment> seg = load_segment(id);
+    BackendResult<LoadedSegment> seg = load_segment(id);
+    if (!seg && seg.error().code == BackendErrorCode::kCorrupt) {
+      // Skip it, but keep it known: a later replay leaves it alone, and
+      // the sealer never writes its id again.
+      std::lock_guard<std::mutex> lk(mu_);
+      segments_[id].corrupt = true;
+      next_segment_id_ = std::max(next_segment_id_, id + 1);
+      recover_corrupt_segments_->add(1);
+      continue;
+    }
     if (!seg) continue;  // listed but gone: a concurrent trim won the race
     std::lock_guard<std::mutex> lk(mu_);
     SegmentInfo& info = segments_[id];

@@ -122,6 +122,9 @@ class LsbBackend final : public ProvenanceBackend {
   /// Client-restart recovery: rebuild the in-memory index from the durable
   /// postings, replay unindexed (orphan) segments, and delete segments
   /// below the delete-to watermark. Idempotent; cheap on a live backend.
+  /// A segment that does not decode is skipped, counted in the registry
+  /// counter lsb.recover.corrupt_segments, and its id is never reused; the
+  /// segments beside it recover as usual.
   void recover() override;
 
   /// Publish a due index checkpoint and run the cleaner if it is due.
@@ -146,8 +149,9 @@ class LsbBackend final : public ProvenanceBackend {
   void publish_index();
 
   /// One cleaner pass over up to `compact_max_segments` victims: indexed
-  /// segments at least half garbage, richest first. Returns the number of
-  /// segments reclaimed (0 = no victim).
+  /// segments at least half garbage, richest first. A victim that does not
+  /// decode stays in place and is never picked again. Returns the number
+  /// of segments reclaimed (0 = no victim).
   std::size_t compact();
 
   /// Cleaner-effectiveness counters (in-memory view; exact after quiesce).
@@ -177,6 +181,9 @@ class LsbBackend final : public ProvenanceBackend {
     /// Published index chunk items ("idx-<seg>-0" .. "-<chunks-1>"), so the
     /// cleaner can delete them when the segment dies.
     std::uint64_t chunk_items = 0;
+    /// The object does not decode: left in place, never cleaned or
+    /// replayed, and its id is never sealed again.
+    bool corrupt = false;
   };
 
   /// One durable segment the sealer wrote: entries [begin, end) of its
@@ -202,8 +209,9 @@ class LsbBackend final : public ProvenanceBackend {
     std::uint64_t bytes = 0;  // the object's size
   };
   /// GET and decode segment `id`, retrying propagation races 64 times
-  /// (each charged like every consistency loop); nullopt if it never shows.
-  std::optional<LoadedSegment> load_segment(std::uint64_t id);
+  /// (each charged like every consistency loop). kConsistencyExhausted if
+  /// it never shows, kCorrupt if it does not decode as segment `id`.
+  BackendResult<LoadedSegment> load_segment(std::uint64_t id);
 
   /// Record a durable entry in the in-memory index + latest/garbage
   /// bookkeeping. Later copies of the same (object, version) win.
@@ -262,6 +270,7 @@ class LsbBackend final : public ProvenanceBackend {
   obs::Counter* compact_count_ = nullptr;
   obs::Counter* compact_reclaimed_bytes_ = nullptr;
   obs::Counter* compact_rewritten_bytes_ = nullptr;
+  obs::Counter* recover_corrupt_segments_ = nullptr;
   obs::Histogram* seal_entries_ = nullptr;
 };
 

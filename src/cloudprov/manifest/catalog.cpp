@@ -105,9 +105,9 @@ BackendResult<void> Catalog::commit(const CatalogPointer& pointer) {
   return {};
 }
 
-std::uint64_t Catalog::next_snapshot_id() {
-  const std::optional<CatalogPointer> cur = current();
-  std::uint64_t candidate = cur ? cur->snapshot_id + 1 : 1;
+std::uint64_t Catalog::next_snapshot_id(
+    const std::optional<CatalogPointer>& current) {
+  std::uint64_t candidate = current ? current->snapshot_id + 1 : 1;
   // Never reuse an id that left any trace: a stale "current" read must not
   // let a roll overwrite a committed snapshot's immutable objects, and a
   // crashed roll that got as far as its history row keeps its id burned.

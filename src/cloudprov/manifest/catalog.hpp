@@ -53,10 +53,11 @@ class Catalog {
   BackendResult<void> commit(const CatalogPointer& pointer);
 
   /// First snapshot id with no trace in the catalog, starting from
-  /// current + 1. Ids of crashed rolls that reached their history row stay
-  /// burned: a fresh roll must never overwrite objects another (possibly
-  /// committed, possibly half-written) snapshot may own.
-  std::uint64_t next_snapshot_id();
+  /// `current` + 1, where `current` is the caller's read of current(). Ids
+  /// of crashed rolls that reached their history row stay burned: a fresh
+  /// roll must never overwrite objects another (possibly committed,
+  /// possibly half-written) snapshot may own.
+  std::uint64_t next_snapshot_id(const std::optional<CatalogPointer>& current);
 
  private:
   std::optional<CatalogPointer> read_row(const std::string& item,

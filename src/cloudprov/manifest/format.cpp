@@ -30,7 +30,7 @@ std::string manifest_block_key(std::uint64_t snapshot_id, std::size_t block) {
          std::to_string(block);
 }
 
-std::string encode_block(const std::vector<ManifestEntry>& entries) {
+std::string encode_block(std::span<const ManifestEntry> entries) {
   std::string out = kBlockMagic;
   append_u64(out, entries.size());
   out += '\n';

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,8 @@ std::string manifest_block_key(std::uint64_t snapshot_id, std::size_t block);
 struct ManifestEntry {
   pass::ObjectVersion id;
   std::vector<pass::ProvenanceRecord> records;
+
+  friend bool operator==(const ManifestEntry&, const ManifestEntry&) = default;
 };
 
 /// Pruning stats of one block, carried by the manifest list.
@@ -64,7 +67,7 @@ struct ManifestList {
 };
 
 /// Block encoding: "PMB1" header, then length-prefixed entries.
-std::string encode_block(const std::vector<ManifestEntry>& entries);
+std::string encode_block(std::span<const ManifestEntry> entries);
 /// Returns nullopt on any framing error (truncated or foreign object).
 std::optional<std::vector<ManifestEntry>> decode_block(const std::string& raw);
 

@@ -37,7 +37,7 @@ BackendResult<std::vector<ManifestEntry>> ManifestReader::fetch_block_with_retry
     if (!got) continue;  // propagation race
     auto decoded = decode_block(*got->data);
     if (!decoded)
-      return backend_error(BackendErrorCode::kServiceError,
+      return backend_error(BackendErrorCode::kCorrupt,
                            "undecodable manifest block: " + key);
     return std::move(*decoded);
   }
@@ -58,7 +58,7 @@ BackendResult<void> ManifestReader::bind(const CatalogPointer& pointer,
     if (!got) continue;
     auto decoded = decode_manifest_list(*got->data);
     if (!decoded || decoded->snapshot_id != pointer.snapshot_id)
-      return backend_error(BackendErrorCode::kServiceError,
+      return backend_error(BackendErrorCode::kCorrupt,
                            "undecodable manifest list: " + pointer.list_key);
     list_ = std::move(*decoded);
     open_ = true;

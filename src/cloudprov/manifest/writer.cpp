@@ -1,10 +1,13 @@
 #include "cloudprov/manifest/writer.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 
 #include "cloudprov/consistency_read.hpp"
 #include "cloudprov/manifest/catalog.hpp"
 #include "cloudprov/serialize.hpp"
+#include "obs/trace.hpp"
 #include "util/require.hpp"
 
 namespace provcloud::cloudprov::manifest {
@@ -19,6 +22,7 @@ ManifestWriter::ManifestWriter(CloudServices& services,
 
 BackendResult<ManifestList> ManifestWriter::roll() {
   aws::CloudEnv& env = *services_->env;
+  obs::Span span(&env.tracer(), "manifest.roll", "manifest");
   Catalog catalog(*services_, config_.max_retries);
   catalog.ensure_domain();
   env.failures().crash_point("manifest.roll.begin");
@@ -41,30 +45,53 @@ BackendResult<ManifestList> ManifestWriter::roll() {
             }
             return names;
           });
-
-  // Fetch every item's resolved records -- the exact bytes the SimpleDB
-  // read path would return -- and sort into the snapshot order.
-  std::vector<ManifestEntry> entries;
+  std::vector<pass::ObjectVersion> ids;
   for (const std::vector<std::string>& names : per_domain) {
     for (const std::string& item : names) {
       pass::ObjectVersion id;
-      if (!parse_item_name(item, id.object, id.version)) continue;
-      auto records = fetch_sdb_provenance(*services_, *topology_, id.object,
-                                          id.version, config_.max_retries);
-      if (!records)
-        return backend_error(
-            BackendErrorCode::kServiceError,
-            "manifest roll could not fetch " + item + ": " +
-                records.error().message);
-      entries.push_back(ManifestEntry{std::move(id), std::move(*records)});
+      if (parse_item_name(item, id.object, id.version))
+        ids.push_back(std::move(id));
     }
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const ManifestEntry& a, const ManifestEntry& b) {
-              return a.id < b.id;
-            });
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
 
-  const std::uint64_t snapshot_id = catalog.next_snapshot_id();
+  // The base is the writer's last snapshot only while that snapshot is the
+  // committed one; otherwise every name is fetched.
+  const std::optional<CatalogPointer> current = catalog.current();
+  const bool have_base =
+      current.has_value() && current->snapshot_id == last_snapshot_id_;
+  const std::vector<ManifestEntry> no_base;
+  const std::vector<ManifestEntry>& base = have_base ? last_entries_ : no_base;
+
+  // Merge the sorted names with the sorted base: a name the base holds
+  // reuses its frozen entry, any other name is fetched -- the exact bytes
+  // the SimpleDB read path would return. Base entries the sweep no longer
+  // lists fall away.
+  std::vector<ManifestEntry> entries;
+  entries.reserve(ids.size());
+  auto reuse = base.begin();
+  std::uint64_t fetched = 0;
+  for (pass::ObjectVersion& id : ids) {
+    while (reuse != base.end() && reuse->id < id) ++reuse;
+    if (reuse != base.end() && reuse->id == id) {
+      entries.push_back(*reuse++);
+      continue;
+    }
+    auto records = fetch_sdb_provenance(*services_, *topology_, id.object,
+                                        id.version, config_.max_retries);
+    if (!records)
+      return backend_error(BackendErrorCode::kServiceError,
+                           "manifest roll could not fetch " +
+                               item_name(id.object, id.version) + ": " +
+                               records.error().message);
+    entries.push_back(ManifestEntry{std::move(id), std::move(*records)});
+    ++fetched;
+  }
+  span.arg("reused", static_cast<std::uint64_t>(entries.size()) - fetched);
+  span.arg("fetched", fetched);
+
+  const std::uint64_t snapshot_id = catalog.next_snapshot_id(current);
 
   // Cut sorted entries into blocks and PUT each. Sequential on purpose: a
   // roll is background work, and the crash sweep wants a deterministic
@@ -76,9 +103,8 @@ BackendResult<ManifestList> ManifestWriter::roll() {
        start += config_.block_entries) {
     const std::size_t end =
         std::min(start + config_.block_entries, entries.size());
-    const std::vector<ManifestEntry> block(
-        entries.begin() + static_cast<std::ptrdiff_t>(start),
-        entries.begin() + static_cast<std::ptrdiff_t>(end));
+    const std::span<const ManifestEntry> block(entries.data() + start,
+                                               end - start);
     const std::string encoded = encode_block(block);
     BlockStats stats;
     stats.key = manifest_block_key(snapshot_id, list.blocks.size());
@@ -112,6 +138,7 @@ BackendResult<ManifestList> ManifestWriter::roll() {
   env.failures().crash_point("manifest.roll.after_commit");
 
   last_snapshot_id_ = snapshot_id;
+  last_entries_ = std::move(entries);
   return list;
 }
 

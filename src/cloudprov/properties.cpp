@@ -1,8 +1,10 @@
 #include "cloudprov/properties.hpp"
 
+#include <algorithm>
 #include <cstring>
-#include <set>
+#include <iterator>
 #include <memory>
+#include <set>
 
 #include "cloudprov/consistency_read.hpp"
 #include "cloudprov/lsb/format.hpp"
@@ -456,6 +458,21 @@ bool ancestry_equal(const AncestryResult& a, const AncestryResult& b) {
   return true;
 }
 
+/// The entries a snapshot's blocks hold, in order (coordinator view, not
+/// billed); nullopt when a block is missing or does not decode.
+std::optional<std::vector<manifest::ManifestEntry>> snapshot_entries(
+    CloudServices& services, const manifest::ManifestList& list) {
+  std::vector<manifest::ManifestEntry> out;
+  for (const manifest::BlockStats& b : list.blocks) {
+    const auto obj = services.s3.peek(manifest::kManifestBucket, b.key);
+    if (!obj) return std::nullopt;
+    auto entries = manifest::decode_block(*obj->data);
+    if (!entries) return std::nullopt;
+    std::move(entries->begin(), entries->end(), std::back_inserter(out));
+  }
+  return out;
+}
+
 /// All crash points the architecture's protocol passes through, discovered
 /// from an uninjected run.
 std::vector<std::string> discover_crash_points(
@@ -660,12 +677,44 @@ ManifestRollReport check_manifest_roll(Architecture arch,
       // the scatter walk regardless of where the roll died.
       if (!ancestry_equal(engine->ancestry("data/late0", 1), want_tail))
         ++report.violations;
-      // The pre-crash snapshot must keep serving complete, correct
-      // time-travel ancestry: nothing lost, nothing duplicated.
-      const AncestryResult as_of =
-          engine->ancestry_as_of(first_id, "data/derived1", 1);
-      if (!as_of.missing.empty() || !ancestry_equal(as_of, want_frozen))
+
+      // Roll on with the same writer, then with a fresh one. The same
+      // writer rolls incrementally from its last snapshot, except after a
+      // crash at after_commit, where its memory and "current" disagree and
+      // it fetches everything, as the fresh writer always does. Both
+      // snapshots must hold the same entries.
+      const auto again = writer.roll();
+      settle(fx);
+      manifest::ManifestWriter fresh(fx.services, fx.topology, roll_cfg);
+      const auto full = fresh.roll();
+      settle(fx);
+      if (!again || !full) {
         ++report.violations;
+        continue;
+      }
+      const auto again_entries = snapshot_entries(fx.services, *again);
+      if (!again_entries ||
+          again_entries != snapshot_entries(fx.services, *full))
+        ++report.violations;
+
+      // Every committed snapshot must keep serving complete, correct
+      // time-travel ancestry: nothing lost, nothing duplicated. Only the
+      // first predates the tail. Ids burned by a crash before their history
+      // row have none to travel to.
+      manifest::Catalog catalog(fx.services);
+      for (std::uint64_t id = first_id; id <= full->snapshot_id; ++id) {
+        if (!catalog.history(id)) continue;
+        const AncestryResult frozen =
+            engine->ancestry_as_of(id, "data/derived1", 1);
+        if (!frozen.missing.empty() || !ancestry_equal(frozen, want_frozen))
+          ++report.violations;
+        const AncestryResult tail = engine->ancestry_as_of(id, "data/late0", 1);
+        const bool tail_ok =
+            id == first_id
+                ? tail.graph.nodes().empty() && tail.missing.size() == 1
+                : ancestry_equal(tail, want_tail);
+        if (!tail_ok) ++report.violations;
+      }
     }
   }
   return report;

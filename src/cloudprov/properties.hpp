@@ -110,10 +110,12 @@ std::vector<PropertyReport> check_all_architectures(
 /// Crash-sweep verdict for the manifest-roll protocol (the snapshot read
 /// path's commit sequence: block PUTs, list PUT, history row, pointer
 /// swap). Every discovered manifest.* crash point is swept; after each
-/// injected crash the catalog must still bind a committed snapshot, the
-/// previous snapshot must keep serving complete, correct time-travel
-/// ancestry, and live manifest-path walks must stay bit-identical to the
-/// pure SimpleDB scatter walk.
+/// injected crash the catalog must still bind a committed snapshot, live
+/// manifest-path walks must stay bit-identical to the pure SimpleDB
+/// scatter walk, one more roll by the same writer (incremental) and one by
+/// a fresh writer (a full fetch) must hold the same entries, and every
+/// committed snapshot must keep serving complete, correct time-travel
+/// ancestry.
 struct ManifestRollReport {
   Architecture arch = Architecture::kS3SimpleDb;
   std::uint64_t crash_scenarios = 0;

@@ -655,6 +655,48 @@ TEST(LsbBackendTest, UnpublishedSegmentsReplayAsOrphans) {
   }
 }
 
+TEST(LsbBackendTest, RecoverySkipsACorruptSegmentAndNeverReusesItsId) {
+  // One segment that does not decode must not cost the intact ones beside
+  // it: recovery skips it, counts it, and seals past its id.
+  aws::CloudEnv env(29, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  {
+    LsbBackend backend(services);
+    for (int i = 1; i <= 3; ++i)
+      backend.store(file_unit("s" + std::to_string(i), 1, "unpublished"));
+    // No quiesce: three one-close segments, none published.
+  }
+  const std::string key = lsb::segment_key(2);
+  std::string bytes = *services.s3.peek(lsb::kSegmentBucket, key)->data;
+  bytes[0] = static_cast<char>(~bytes[0]);
+  ASSERT_TRUE(services.s3.put(lsb::kSegmentBucket, key, bytes).has_value());
+
+  LsbBackend fresh(services);
+  fresh.recover();
+  EXPECT_TRUE(fresh.read("s1").has_value());
+  EXPECT_TRUE(fresh.read("s3").has_value());
+  EXPECT_FALSE(fresh.read("s2").has_value());
+  const obs::Counter* corrupt =
+      env.metrics().find_counter("lsb.recover.corrupt_segments");
+  ASSERT_NE(corrupt, nullptr);
+  EXPECT_EQ(corrupt->value(), 1u);
+  fresh.recover();  // a known corrupt segment is not read or counted again
+  EXPECT_EQ(corrupt->value(), 1u);
+
+  const std::vector<std::string> before =
+      services.s3.peek_keys(lsb::kSegmentBucket);
+  fresh.store(file_unit("s4", 1, "next"));
+  std::vector<std::string> sealed;
+  for (const std::string& k : services.s3.peek_keys(lsb::kSegmentBucket))
+    if (std::find(before.begin(), before.end(), k) == before.end())
+      sealed.push_back(k);
+  ASSERT_EQ(sealed.size(), 1u);
+  std::uint64_t id = 0;
+  ASSERT_TRUE(lsb::parse_segment_key(sealed[0], id));
+  EXPECT_GT(id, 3u);
+  EXPECT_EQ(*services.s3.peek(lsb::kSegmentBucket, key)->data, bytes);
+}
+
 TEST(LsbBackendTest, CrashedPublicationNeverTearsTheIndex) {
   aws::CloudEnv env(27, aws::ConsistencyConfig::strong());
   CloudServices services(env);
@@ -778,6 +820,44 @@ TEST(LsbBackendTest, CompactionReclaimsGarbageAndPreservesAncestry) {
   auto fresh = make_lsb_backend(services);
   fresh->recover();
   EXPECT_TRUE(ancestry_equal(fetch_ancestry(*fresh, "cold", 1), want));
+}
+
+TEST(LsbBackendTest, CleanerLeavesACorruptVictimInPlace) {
+  aws::CloudEnv env(32, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  LsbBackendConfig cfg;
+  cfg.auto_clean = false;  // manual cleaning only
+  LsbBackend backend(services, cfg);
+  // hot@1's and hot@2's segments are mostly superseded data: both victims.
+  backend.store(file_unit("hot", 1, std::string(512, '1')));
+  backend.store(file_unit(
+      "hot", 2, std::string(512, '2'),
+      {make_xref_record(attr::kPrev, ObjectVersion{"hot", 1})}));
+  backend.store(file_unit(
+      "hot", 3, std::string(512, '3'),
+      {make_xref_record(attr::kPrev, ObjectVersion{"hot", 2})}));
+  backend.quiesce();
+  const std::string key = lsb::segment_key(1);
+  std::string bytes = *services.s3.peek(lsb::kSegmentBucket, key)->data;
+  bytes[0] = static_cast<char>(~bytes[0]);
+  ASSERT_TRUE(services.s3.put(lsb::kSegmentBucket, key, bytes).has_value());
+
+  // The pass reclaims hot@2's segment and leaves the corrupt one as it is,
+  // so hot@1's records part, which the flipped header byte spares, still
+  // serves a range read.
+  EXPECT_EQ(backend.compact(), 1u);
+  ASSERT_TRUE(services.s3.peek(lsb::kSegmentBucket, key).has_value());
+  EXPECT_EQ(*services.s3.peek(lsb::kSegmentBucket, key)->data, bytes);
+  EXPECT_FALSE(
+      services.s3.peek(lsb::kSegmentBucket, lsb::segment_key(2)).has_value());
+  EXPECT_TRUE(backend.get_provenance("hot", 1).has_value());
+  EXPECT_TRUE(backend.get_provenance("hot", 2).has_value());
+  EXPECT_EQ(backend.read("hot")->version, 3u);
+
+  // No later pass picks it again.
+  const sim::MeterSnapshot before = env.meter().snapshot();
+  EXPECT_EQ(backend.compact(), 0u);
+  EXPECT_EQ(env.meter().snapshot().diff(before).calls("s3", "GET"), 0u);
 }
 
 TEST(LsbBackendTest, CleanerSkipsTheAllLivePrefixAndReclaimsTheHotTail) {

@@ -1,16 +1,18 @@
 // The manifest-backed ancestry read path: snapshot formats, the catalog
 // commit point, reader equivalence with the pure SimpleDB scatter walk,
-// time travel, AncestorCache behavior, the roll crash sweep, and the hints
-// prefetcher consulting a shared AncestorCache.
+// time travel, incremental rolls, AncestorCache behavior, the roll crash
+// sweep, and the hints prefetcher consulting a shared AncestorCache.
 //
 // PROVCLOUD_SNAPSHOT_LAG (0..100, default 10) sets what percentage of the
 // randomized workload is stored *after* the snapshot rolls -- the mutable
 // tail the reader must serve via SimpleDB fallback. CI runs the suite at 0
-// and 50.
+// and 50. PROVCLOUD_PROPERTIES_GROUP_SIZE sets the crash sweep's session
+// group size, as in test_properties.cpp; CI runs it at 1, 8 and 25.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -127,6 +129,59 @@ pass::SyscallTrace late_trace() {
   return t;
 }
 
+/// A committed snapshot as its S3 objects hold it (coordinator view, not
+/// billed): the decoded list and its blocks' entries in order.
+struct StoredSnapshot {
+  ManifestList list;
+  std::vector<ManifestEntry> entries;
+};
+
+StoredSnapshot stored_snapshot(World& w, std::uint64_t snapshot_id) {
+  StoredSnapshot out;
+  const auto list =
+      w.services.s3.peek(kManifestBucket, manifest_list_key(snapshot_id));
+  auto decoded = list ? decode_manifest_list(*list->data) : std::nullopt;
+  EXPECT_TRUE(decoded.has_value()) << snapshot_id;
+  if (!decoded) return out;
+  out.list = std::move(*decoded);
+  for (const BlockStats& b : out.list.blocks) {
+    const auto block = w.services.s3.peek(kManifestBucket, b.key);
+    auto entries = block ? decode_block(*block->data) : std::nullopt;
+    EXPECT_TRUE(entries.has_value()) << b.key;
+    if (entries)
+      std::move(entries->begin(), entries->end(),
+                std::back_inserter(out.entries));
+  }
+  return out;
+}
+
+/// The same entries, cut into the same blocks (min, max, entries, bytes);
+/// only the block keys may differ, with the snapshot id.
+void expect_same_snapshot(const StoredSnapshot& got,
+                          const StoredSnapshot& want) {
+  EXPECT_EQ(got.list.total_entries, want.list.total_entries);
+  EXPECT_TRUE(got.entries == want.entries);
+  ASSERT_EQ(got.list.blocks.size(), want.list.blocks.size());
+  for (std::size_t i = 0; i < got.list.blocks.size(); ++i) {
+    const BlockStats& g = got.list.blocks[i];
+    const BlockStats& w = want.list.blocks[i];
+    EXPECT_EQ(g.min, w.min) << i;
+    EXPECT_EQ(g.max, w.max) << i;
+    EXPECT_EQ(g.entries, w.entries) << i;
+    EXPECT_EQ(g.bytes, w.bytes) << i;
+  }
+}
+
+/// GetAttributes calls on the shard domains in `diff`: every call a roll
+/// makes there is one of those or an enumeration Query page.
+std::uint64_t shard_get_attributes(const World& w,
+                                   const sim::MeterSnapshot& diff) {
+  std::uint64_t calls = 0;
+  for (const std::string& domain : w.topology->domains())
+    calls += diff.detail_calls("sdb", domain);
+  return calls - diff.calls("sdb", "Query");
+}
+
 bool ancestry_equal(const AncestryResult& a, const AncestryResult& b) {
   if (a.missing != b.missing) return false;
   if (a.graph.nodes().size() != b.graph.nodes().size()) return false;
@@ -199,7 +254,7 @@ TEST(ManifestCatalogTest, CommitPointerSwapIsTheCommitPoint) {
   Catalog catalog(services);
   catalog.ensure_domain();
   EXPECT_FALSE(catalog.current().has_value());
-  EXPECT_EQ(catalog.next_snapshot_id(), 1u);
+  EXPECT_EQ(catalog.next_snapshot_id(catalog.current()), 1u);
 
   const CatalogPointer p1{1, manifest_list_key(1), 10};
   ASSERT_TRUE(catalog.publish_history(p1).has_value());
@@ -207,7 +262,7 @@ TEST(ManifestCatalogTest, CommitPointerSwapIsTheCommitPoint) {
   EXPECT_FALSE(catalog.current().has_value());
   EXPECT_FALSE(catalog.history(1).has_value());
   // ...but burns the id: a later roll must never overwrite snap-1 objects.
-  EXPECT_EQ(catalog.next_snapshot_id(), 2u);
+  EXPECT_EQ(catalog.next_snapshot_id(catalog.current()), 2u);
 
   ASSERT_TRUE(catalog.commit(p1).has_value());
   ASSERT_TRUE(catalog.current().has_value());
@@ -218,7 +273,7 @@ TEST(ManifestCatalogTest, CommitPointerSwapIsTheCommitPoint) {
   const CatalogPointer p2{2, manifest_list_key(2), 12};
   ASSERT_TRUE(catalog.publish_history(p2).has_value());
   EXPECT_FALSE(catalog.history(2).has_value());
-  EXPECT_EQ(catalog.next_snapshot_id(), 3u);
+  EXPECT_EQ(catalog.next_snapshot_id(catalog.current()), 3u);
 }
 
 // ------------------------------------------------------------- read path --
@@ -299,6 +354,42 @@ TEST(ManifestReadPathTest, NoSnapshotFallsBackToPureScatter) {
       ancestry_equal(engine->ancestry("c", 1), scatter->ancestry("c", 1)));
 }
 
+TEST(ManifestReadPathTest, UndecodableBlockOrListIsCorrupt) {
+  World w(/*shards=*/2);
+  const pass::SyscallTrace t = chain_trace();
+  w.store(t, 0, t.size());
+  const ManifestList list = w.roll(/*block_entries=*/2);
+  ASSERT_GE(list.blocks.size(), 2u);
+  const StoredSnapshot stored = stored_snapshot(w, list.snapshot_id);
+  ASSERT_TRUE(w.services.s3.put(kManifestBucket, list.blocks[0].key, "garbage")
+                  .has_value());
+
+  // Every id block 0 held fails as corrupt; the other blocks still serve.
+  std::vector<pass::ObjectVersion> ids;
+  for (const ManifestEntry& e : stored.entries) ids.push_back(e.id);
+  ManifestReader reader(w.services, w.topology);
+  ASSERT_TRUE(reader.open_current().has_value());
+  const auto got = reader.get_provenance_many(ids);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (i < list.blocks[0].entries) {
+      ASSERT_FALSE(got[i].has_value()) << ids[i].to_string();
+      EXPECT_EQ(got[i].error().code, BackendErrorCode::kCorrupt);
+    } else {
+      EXPECT_TRUE(got[i].has_value()) << ids[i].to_string();
+    }
+  }
+
+  // An undecodable list fails the bind the same way.
+  ASSERT_TRUE(w.services.s3
+                  .put(kManifestBucket, manifest_list_key(list.snapshot_id),
+                       "garbage")
+                  .has_value());
+  ManifestReader fresh(w.services, w.topology);
+  const auto opened = fresh.open_current();
+  ASSERT_FALSE(opened.has_value());
+  EXPECT_EQ(opened.error().code, BackendErrorCode::kCorrupt);
+}
+
 // ------------------------------------------------------------ time travel --
 
 TEST(ManifestTimeTravelTest, AsOfServesTheOldSnapshotOnly) {
@@ -340,6 +431,111 @@ TEST(ManifestTimeTravelTest, ScatterEngineHasNoTimeTravel) {
   auto scatter = make_sdb_query_engine(w.services, w.topology);
   EXPECT_FALSE(scatter->supports_time_travel());
   EXPECT_THROW(scatter->ancestry_as_of(1, "c", 1), util::LogicError);
+}
+
+// ------------------------------------------------------ incremental roll --
+
+TEST(ManifestIncrementalRollTest, LongLivedWriterMatchesAFreshFullRoll) {
+  workloads::WorkloadOptions wo;
+  wo.seed = 23;
+  wo.count_scale = 0.15;
+  wo.size_scale = 0.02;
+  const pass::SyscallTrace trace = workloads::CompileWorkload().generate(wo);
+  const std::size_t cuts[] = {0, trace.size() / 3, 2 * trace.size() / 3,
+                              trace.size()};
+
+  // Twin stores fed the same trace in three parts. One long-lived writer
+  // rolls `inc` after each part; a fresh writer rolls `full` each time, so
+  // every one of its rolls fetches every item.
+  World inc(/*shards=*/4), full(/*shards=*/4);
+  ManifestWriter writer(inc.services, inc.topology,
+                        ManifestWriterConfig{.block_entries = 8});
+  std::size_t stored_before = 0;
+  for (std::size_t part = 0; part < 3; ++part) {
+    inc.store(trace, cuts[part], cuts[part + 1]);
+    full.store(trace, cuts[part], cuts[part + 1]);
+    const std::size_t stored = inc.all_ids().size();
+    const sim::MeterSnapshot before = inc.env.meter().snapshot();
+    const auto rolled = writer.roll();
+    const sim::MeterSnapshot diff = inc.env.meter().snapshot().diff(before);
+    ASSERT_TRUE(rolled.has_value());
+    const ManifestList want = full.roll();
+    ASSERT_EQ(rolled->snapshot_id, want.snapshot_id);
+
+    // Only the items stored since the writer's last roll are fetched.
+    EXPECT_GT(stored, stored_before);
+    EXPECT_EQ(shard_get_attributes(inc, diff), stored - stored_before)
+        << "roll " << part + 1;
+    expect_same_snapshot(stored_snapshot(inc, rolled->snapshot_id),
+                         stored_snapshot(full, want.snapshot_id));
+    stored_before = stored;
+  }
+}
+
+TEST(ManifestIncrementalRollTest, DeletedItemLeavesTheNextSnapshot) {
+  World w(/*shards=*/2);
+  ManifestWriter writer(w.services, w.topology,
+                        ManifestWriterConfig{.block_entries = 2});
+  const pass::SyscallTrace part1 = chain_trace();
+  w.store(part1, 0, part1.size());
+  const auto snap1 = writer.roll();
+  ASSERT_TRUE(snap1.has_value());
+
+  // Drop c@1's item the way SdbBackend::recover() drops an orphan, then
+  // store more and roll again.
+  const pass::ObjectVersion gone{"c", 1};
+  ASSERT_TRUE(w.services.sdb
+                  .delete_attributes(w.topology->domain_for_object(gone.object),
+                                     item_name(gone.object, gone.version))
+                  .has_value());
+  const pass::SyscallTrace part2 = late_trace();
+  w.store(part2, 0, part2.size());
+  const auto snap2 = writer.roll();
+  ASSERT_TRUE(snap2.has_value());
+
+  const StoredSnapshot stored = stored_snapshot(w, snap2->snapshot_id);
+  EXPECT_EQ(stored.list.total_entries, w.all_ids().size());
+  EXPECT_TRUE(std::none_of(
+      stored.entries.begin(), stored.entries.end(),
+      [&gone](const ManifestEntry& e) { return e.id == gone; }));
+  const ManifestList want = w.roll(/*block_entries=*/2);
+  expect_same_snapshot(stored, stored_snapshot(w, want.snapshot_id));
+
+  // Time travel to the earlier snapshot still serves it; the later one
+  // does not hold it.
+  ManifestReader old_reader(w.services, w.topology);
+  ASSERT_TRUE(old_reader.open(snap1->snapshot_id).has_value());
+  const auto then = old_reader.get_provenance_many({gone});
+  ASSERT_TRUE(then[0].has_value());
+  EXPECT_FALSE(then[0]->empty());
+  ManifestReader new_reader(w.services, w.topology);
+  ASSERT_TRUE(new_reader.open(snap2->snapshot_id).has_value());
+  const auto now = new_reader.get_provenance_many({gone});
+  ASSERT_FALSE(now[0].has_value());
+  EXPECT_EQ(now[0].error().code, BackendErrorCode::kNotFound);
+}
+
+TEST(ManifestIncrementalRollTest, AnotherWritersSnapshotForcesAFullFetch) {
+  World w(/*shards=*/2);
+  const ManifestWriterConfig cfg{.block_entries = 2};
+  ManifestWriter a(w.services, w.topology, cfg);
+  const pass::SyscallTrace part1 = chain_trace();
+  w.store(part1, 0, part1.size());
+  ASSERT_TRUE(a.roll().has_value());
+  const pass::SyscallTrace part2 = late_trace();
+  w.store(part2, 0, part2.size());
+  ManifestWriter b(w.services, w.topology, cfg);
+  ASSERT_TRUE(b.roll().has_value());
+
+  // B's snapshot is current, not A's last one: A fetches every item.
+  const sim::MeterSnapshot before = w.env.meter().snapshot();
+  const auto rolled = a.roll();
+  const sim::MeterSnapshot diff = w.env.meter().snapshot().diff(before);
+  ASSERT_TRUE(rolled.has_value());
+  EXPECT_EQ(shard_get_attributes(w, diff), w.all_ids().size());
+  const ManifestList want = w.roll(/*block_entries=*/2);
+  expect_same_snapshot(stored_snapshot(w, rolled->snapshot_id),
+                       stored_snapshot(w, want.snapshot_id));
 }
 
 // --------------------------------------------------------- ancestor cache --
@@ -401,8 +597,16 @@ TEST(AncestorCacheTest, TimeTravelRebindDropsNewerFragments) {
 
 // ------------------------------------------------------------ crash sweep --
 
+/// The crash sweep's options at the session group size CI sets.
+PropertyCheckOptions roll_sweep_options() {
+  PropertyCheckOptions o;
+  if (const char* env = std::getenv("PROVCLOUD_PROPERTIES_GROUP_SIZE"))
+    o.group_size = static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
+  return o;
+}
+
 TEST(TableOneManifestRollTest, CrashSweepArch2) {
-  PropertyCheckOptions options;
+  PropertyCheckOptions options = roll_sweep_options();
   options.shard_count = 2;
   const ManifestRollReport report =
       check_manifest_roll(Architecture::kS3SimpleDb, options);
@@ -414,7 +618,7 @@ TEST(TableOneManifestRollTest, CrashSweepArch2) {
 
 TEST(TableOneManifestRollTest, CrashSweepArch3) {
   const ManifestRollReport report =
-      check_manifest_roll(Architecture::kS3SimpleDbSqs, PropertyCheckOptions{});
+      check_manifest_roll(Architecture::kS3SimpleDbSqs, roll_sweep_options());
   EXPECT_TRUE(report.crash_safe());
   EXPECT_GT(report.crashed_rolls, 0u);
   EXPECT_EQ(report.violations, 0u);
