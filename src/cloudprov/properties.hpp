@@ -3,14 +3,15 @@
 // Rather than trusting each backend's claims(), the checker *measures* the
 // four properties:
 //
-//   Atomicity       -- sweep an injected client crash through every crash
-//                      point of the store protocol; after each crash, let
-//                      propagation and (for Arch 3) the always-running
-//                      commit daemon settle, then assert that no object has
-//                      data without matching provenance and no provenance
-//                      without data. (Arch 2's remedial orphan scan is NOT
-//                      run here: the paper counts it as cleanup, not
-//                      atomicity.)
+//   Atomicity       -- crash the client at every crash point the close
+//                      protocol passes through, at every occurrence; after
+//                      each crash, let propagation and (for Arch 3) the
+//                      always-running commit daemon settle -- a daemon that
+//                      died mid-drain restarts and finishes it -- then
+//                      assert that no object has data without matching
+//                      provenance and no provenance without data. (Arch 2's
+//                      remedial orphan scan is NOT run here: the paper
+//                      counts it as cleanup, not atomicity.)
 //   Consistency     -- under aggressive staleness, hammer the read path
 //                      while versions are being stored; a read that claims
 //                      verified=true must return an internally matching
@@ -23,16 +24,42 @@
 //   Efficient query -- run Q.2 on a small and a double-size dataset; the
 //                      property holds when query cost grows sublinearly in
 //                      dataset size.
+//
+// One crash driver serves every scenario: the Table-1 close above, the
+// manifest roll and the Arch-4 segment log's maintenance. A scenario is a
+// base phase, an injected phase and a check. The driver runs it once with
+// no crash armed and counts each crash point's hits in the injected phase,
+// then replays it at the same seed once per (point, k <= hits) with the
+// crash armed at the k-th hit, disarms the point, drains the clock and runs
+// the check. So every crash point a scenario reaches is swept at every
+// occurrence; a replay is deterministic at its seed, so every armed crash
+// fires, and the report counts any that does not.
 #pragma once
 
 #include <cstdint>
-#include <set>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "cloudprov/backend.hpp"
 
 namespace provcloud::cloudprov {
+
+/// What one crash sweep did and found: one replay per (point, k <= hits),
+/// the hits counted in an uninjected run of the scenario's injected phase.
+struct CrashSweepReport {
+  struct Point {
+    std::uint64_t hits = 0;     // counted in the uninjected run
+    std::uint64_t crashes = 0;  // replays in which the armed crash fired
+  };
+  /// Every crash point the injected phase reaches.
+  std::map<std::string, Point> points;
+  std::uint64_t crash_scenarios = 0;  // replays: the sum of the hits
+  std::uint64_t crashed_runs = 0;     // replays where the armed crash fired
+  std::uint64_t violations = 0;
+
+  bool crash_safe() const { return crash_scenarios > 0 && violations == 0; }
+};
 
 struct PropertyReport {
   Architecture arch = Architecture::kS3Only;
@@ -42,8 +69,9 @@ struct PropertyReport {
   bool causal_ordering = false;
   bool efficient_query = false;
 
-  // Evidence.
-  std::uint64_t crash_scenarios = 0;
+  // Evidence. The close scenario's crash sweep, whose violations split
+  // into the two counts below.
+  CrashSweepReport crash_sweep;
   std::uint64_t atomicity_violations = 0;
   std::uint64_t causal_violations = 0;
   std::uint64_t reads_checked = 0;
@@ -107,47 +135,29 @@ PropertyReport check_properties(Architecture arch,
 std::vector<PropertyReport> check_all_architectures(
     const PropertyCheckOptions& options = {});
 
-/// Crash-sweep verdict for the manifest-roll protocol (the snapshot read
-/// path's commit sequence: block PUTs, list PUT, history row, pointer
-/// swap). Every discovered manifest.* crash point is swept; after each
-/// injected crash the catalog must still bind a committed snapshot, live
-/// manifest-path walks must stay bit-identical to the pure SimpleDB
+/// Crash sweep over the manifest-roll protocol (the snapshot read path's
+/// commit sequence: block PUTs, list PUT, history row, pointer swap). The
+/// injected phase is one roll on top of a committed snapshot and a mutable
+/// tail; after each crash the catalog must still bind a committed snapshot,
+/// live manifest-path walks must stay bit-identical to the pure SimpleDB
 /// scatter walk, one more roll by the same writer (incremental) and one by
 /// a fresh writer (a full fetch) must hold the same entries, and every
 /// committed snapshot must keep serving complete, correct time-travel
-/// ancestry.
-struct ManifestRollReport {
-  Architecture arch = Architecture::kS3SimpleDb;
-  std::uint64_t crash_scenarios = 0;
-  std::uint64_t crashed_rolls = 0;  // scenarios where the armed crash fired
-  std::uint64_t violations = 0;     // lost/duplicated/diverging provenance
+/// ancestry. Requires a SimpleDB architecture (Arch 2 or 3): rolls snapshot
+/// the provenance index, which Architecture 1 does not have.
+CrashSweepReport check_manifest_roll(Architecture arch,
+                                     const PropertyCheckOptions& options = {});
 
-  bool crash_safe() const { return crash_scenarios > 0 && violations == 0; }
-};
-
-/// Requires a SimpleDB architecture (Arch 2 or 3): rolls snapshot the
-/// provenance index, which Architecture 1 does not have.
-ManifestRollReport check_manifest_roll(Architecture arch,
-                                       const PropertyCheckOptions& options = {});
-
-/// Crash-sweep verdict for the Arch-4 segment log. Every discovered lsb.*
-/// crash point (seal, index publication, cleaner) is swept; after each
-/// injected crash a FRESH backend recovers over the same store (client
+/// Crash sweep over the Arch-4 segment log's maintenance. The injected
+/// phase is a close that supersedes most of a sealed segment, an index
+/// publication and a cleaner pass (seal, publication and cleaner points);
+/// after each crash a FRESH backend recovers over the same store (client
 /// restart) and must: serve every committed close, expose no torn index
 /// (every durable posting between the watermarks resolves to a matching
 /// entry in an existing segment), and -- after a subsequent uninjected
 /// cleaner pass -- answer ancestry walks bit-identically to the pre-crash
-/// ground truth.
-struct LsbCrashReport {
-  std::uint64_t crash_scenarios = 0;
-  std::uint64_t crashed_runs = 0;  // scenarios where the armed crash fired
-  std::uint64_t violations = 0;
-  /// Every lsb.* point at which an armed crash fired at least once.
-  std::set<std::string> swept_points;
-
-  bool crash_safe() const { return crash_scenarios > 0 && violations == 0; }
-};
-
-LsbCrashReport check_lsb_crash_sweep(const PropertyCheckOptions& options = {});
+/// ground truth. The crashed backend is never settled.
+CrashSweepReport check_lsb_crash_sweep(
+    const PropertyCheckOptions& options = {});
 
 }  // namespace provcloud::cloudprov

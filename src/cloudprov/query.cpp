@@ -112,17 +112,19 @@ class S3QueryEngine final : public QueryEngine {
         if (is_internal_key(key)) continue;
         auto head = services_->s3.head(kDataBucket, key);
         if (!head) continue;  // propagation race; scans are best-effort
-        DecodedMetadata decoded = decode_metadata(head->metadata);
-        if (decoded.object.empty()) decoded.object = key;
+        std::optional<DecodedMetadata> decoded =
+            decode_metadata(head->metadata);
+        if (!decoded) continue;  // corrupt metadata: skipped like a miss
+        if (decoded->object.empty()) decoded->object = key;
         // Spilled records must be fetched separately.
-        for (pass::ProvenanceRecord& r : decoded.records) {
+        for (pass::ProvenanceRecord& r : decoded->records) {
           if (r.is_xref() || r.text().rfind(kSpillMarker, 0) != 0) continue;
           const std::string spill_key =
               r.text().substr(std::strlen(kSpillMarker));
           auto got = services_->s3.get(kDataBucket, spill_key);
           if (got) r = pass::ProvenanceRecord{r.attribute, *got->data};
         }
-        out.push_back(std::move(decoded));
+        out.push_back(std::move(*decoded));
       }
       if (!page->truncated) break;
       marker = page->keys.back();

@@ -10,7 +10,12 @@ namespace provcloud::cloudprov {
 
 namespace {
 const util::SharedBytes kEmptyBytes = util::make_shared_bytes(util::Bytes{});
+
+util::Unexpected<BackendError> corrupt_metadata(const std::string& object) {
+  return backend_error(BackendErrorCode::kCorrupt,
+                       "undecodable provenance metadata: " + object);
 }
+}  // namespace
 
 S3Backend::S3Backend(CloudServices& services, std::size_t parallelism)
     : services_(&services),
@@ -105,14 +110,15 @@ BackendResult<ReadResult> S3Backend::read(const std::string& object,
                          "object not found: " + object + " (" +
                              got.error().message + ")");
 
-  DecodedMetadata decoded = decode_metadata(got->metadata);
-  auto records = resolve_spills(std::move(decoded.records), max_retries);
+  std::optional<DecodedMetadata> decoded = decode_metadata(got->metadata);
+  if (!decoded) return corrupt_metadata(object);
+  auto records = resolve_spills(std::move(decoded->records), max_retries);
   if (!records) return util::Unexpected(records.error());
 
   ReadResult out;
   out.data = got->data;
   out.records = std::move(*records);
-  out.version = decoded.version;
+  out.version = decoded->version;
   out.retries = attempts;
   out.verified = true;
   return out;
@@ -129,14 +135,15 @@ BackendResult<std::vector<pass::ProvenanceRecord>> S3Backend::get_provenance(
   if (!head)
     return backend_error(BackendErrorCode::kNotFound,
                          "object not found: " + object);
-  DecodedMetadata decoded = decode_metadata(head->metadata);
-  if (decoded.version != version)
+  std::optional<DecodedMetadata> decoded = decode_metadata(head->metadata);
+  if (!decoded) return corrupt_metadata(object);
+  if (decoded->version != version)
     return backend_error(
         BackendErrorCode::kUnsupported,
         "architecture 1 keeps only the provenance of the last stored "
         "version; requested " + std::to_string(version) + " but stored is " +
-        std::to_string(decoded.version));
-  return resolve_spills(std::move(decoded.records), 64);
+        std::to_string(decoded->version));
+  return resolve_spills(std::move(decoded->records), 64);
 }
 
 std::unique_ptr<Session> S3Backend::do_open_session(SessionConfig config) {

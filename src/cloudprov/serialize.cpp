@@ -3,6 +3,7 @@
 #include <cstring>
 #include <limits>
 
+#include "cloudprov/wire_codec.hpp"
 #include "util/require.hpp"
 #include "util/string_utils.hpp"
 
@@ -62,10 +63,9 @@ ProvenanceRecord record_from(const std::string& attribute,
 
 }  // namespace
 
-ProvenanceRecord parse_record(const std::string& serialized) {
+std::optional<ProvenanceRecord> parse_record(const std::string& serialized) {
   const std::size_t eq = serialized.find('=');
-  PROVCLOUD_REQUIRE_MSG(eq != std::string::npos,
-                        "malformed record: " + serialized);
+  if (eq == std::string::npos) return std::nullopt;
   const std::string attribute = util::field_unescape(serialized.substr(0, eq));
   const std::string value = util::field_unescape(serialized.substr(eq + 1));
   return record_from(attribute, value);
@@ -123,24 +123,23 @@ S3MetadataEncoding encode_unit_as_metadata(const pass::FlushUnit& unit) {
   return out;
 }
 
-DecodedMetadata decode_metadata(const aws::S3Metadata& metadata) {
+std::optional<DecodedMetadata> decode_metadata(
+    const aws::S3Metadata& metadata) {
   DecodedMetadata out;
   for (const auto& [key, value] : metadata) {
     if (key == "x-object") {
       out.object = value;
     } else if (key == "x-version") {
-      try {
-        out.version = static_cast<std::uint32_t>(std::stoul(value));
-      } catch (...) {
-        out.version = 0;
-      }
+      wire::Cursor c(value);
+      if (!c.read_u32(out.version) || !c.done()) return std::nullopt;
     } else if (key == "x-kind") {
       out.kind = value;
     } else if (!key.empty() && key[0] == 'p') {
-      ProvenanceRecord r = parse_record(value);
-      if (!r.is_xref() && r.text().rfind(kSpillMarker, 0) == 0)
-        out.spill_keys.push_back(r.text().substr(std::strlen(kSpillMarker)));
-      out.records.push_back(std::move(r));
+      std::optional<ProvenanceRecord> r = parse_record(value);
+      if (!r) return std::nullopt;
+      if (!r->is_xref() && r->text().rfind(kSpillMarker, 0) == 0)
+        out.spill_keys.push_back(r->text().substr(std::strlen(kSpillMarker)));
+      out.records.push_back(std::move(*r));
     }
   }
   return out;

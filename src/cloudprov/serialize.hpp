@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,10 +46,11 @@ std::string overflow_key(const std::string& object, std::uint32_t version,
 /// as "object:version"), fields escaped.
 std::string serialize_record(const pass::ProvenanceRecord& record);
 
-/// Parse "attribute=value" back into a record. Values that look like
-/// cross-references ("name:digits" with a known xref attribute) are decoded
-/// as xrefs.
-pass::ProvenanceRecord parse_record(const std::string& serialized);
+/// Parse "attribute=value" back into a record; nullopt without the '='.
+/// Values that look like cross-references ("name:digits" with a known xref
+/// attribute) are decoded as xrefs.
+std::optional<pass::ProvenanceRecord> parse_record(
+    const std::string& serialized);
 
 /// True when `attribute` carries cross-references (INPUT, PREV, FORKPARENT).
 bool is_xref_attribute(const std::string& attribute);
@@ -67,8 +69,8 @@ struct S3MetadataEncoding {
 
 S3MetadataEncoding encode_unit_as_metadata(const pass::FlushUnit& unit);
 
-/// Decode metadata back into records; spill pointers are returned verbatim
-/// (value "@s3:<key>") for the caller to resolve.
+/// Decoded metadata; spill pointers are returned verbatim (value
+/// "@s3:<key>") for the caller to resolve.
 struct DecodedMetadata {
   std::string object;
   std::uint32_t version = 0;
@@ -77,7 +79,9 @@ struct DecodedMetadata {
   std::vector<std::string> spill_keys;  // unresolved overflow pointers
 };
 
-DecodedMetadata decode_metadata(const aws::S3Metadata& metadata);
+/// nullopt when the metadata is corrupt: a record without its '=', or an
+/// "x-version" that is not a decimal no larger than UINT32_MAX.
+std::optional<DecodedMetadata> decode_metadata(const aws::S3Metadata& metadata);
 
 // --- Architectures 2 & 3: records as SimpleDB attributes ------------------
 

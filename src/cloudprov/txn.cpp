@@ -106,8 +106,11 @@ std::optional<WalRecord> decode_wal_record(util::BytesView body) {
         r.version = static_cast<std::uint32_t>(std::stoul(f[3]));
         r.chunk_index = static_cast<std::uint32_t>(std::stoul(f[4]));
         if (!f[5].empty()) {
-          for (const std::string& piece : util::split(f[5], '|'))
-            r.records.push_back(parse_record(piece));
+          for (const std::string& piece : util::split(f[5], '|')) {
+            std::optional<pass::ProvenanceRecord> record = parse_record(piece);
+            if (!record) return std::nullopt;
+            r.records.push_back(std::move(*record));
+          }
         }
         break;
       }

@@ -608,19 +608,19 @@ PropertyCheckOptions roll_sweep_options() {
 TEST(TableOneManifestRollTest, CrashSweepArch2) {
   PropertyCheckOptions options = roll_sweep_options();
   options.shard_count = 2;
-  const ManifestRollReport report =
+  const CrashSweepReport report =
       check_manifest_roll(Architecture::kS3SimpleDb, options);
   EXPECT_TRUE(report.crash_safe());
   EXPECT_GT(report.crash_scenarios, 0u);
-  EXPECT_GT(report.crashed_rolls, 0u);
+  EXPECT_GT(report.crashed_runs, 0u);
   EXPECT_EQ(report.violations, 0u);
 }
 
 TEST(TableOneManifestRollTest, CrashSweepArch3) {
-  const ManifestRollReport report =
+  const CrashSweepReport report =
       check_manifest_roll(Architecture::kS3SimpleDbSqs, roll_sweep_options());
   EXPECT_TRUE(report.crash_safe());
-  EXPECT_GT(report.crashed_rolls, 0u);
+  EXPECT_GT(report.crashed_runs, 0u);
   EXPECT_EQ(report.violations, 0u);
 }
 

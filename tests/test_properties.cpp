@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <initializer_list>
+#include <set>
 #include <string>
 
 #include "cloudprov/properties.hpp"
@@ -46,7 +46,7 @@ TEST_P(TableOneRow, MeasuredPropertiesMatchPaperClaims) {
       << "query growth " << report.query_growth << " (" << report.query_ops_small
       << " -> " << report.query_ops_large << " ops)";
   EXPECT_TRUE(report.matches(claims));
-  EXPECT_GT(report.crash_scenarios, 4u);
+  EXPECT_GT(report.crash_sweep.crash_scenarios, 4u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllArchitectures, TableOneRow,
@@ -200,7 +200,7 @@ TEST(TableOneTest, VerdictsSurviveDeadlineDrivenFlushes) {
         << to_string(arch);
     EXPECT_EQ(deadline.efficient_query, base.efficient_query)
         << to_string(arch);
-    EXPECT_GT(deadline.crash_scenarios, 0u) << to_string(arch);
+    EXPECT_GT(deadline.crash_sweep.crash_scenarios, 0u) << to_string(arch);
   }
 }
 
@@ -258,19 +258,54 @@ TEST(TableOneTest, BatchedShardedArchFourKeepsAcidProperties) {
   EXPECT_FALSE(report.efficient_query);  // scan-based search, like Arch 1
 }
 
-/// Arch 4's seal, index-publication and cleaner crash points: the sweep
-/// must crash at every one of them, at every group size.
-void expect_every_lsb_point_swept(const LsbCrashReport& report) {
-  const auto expect = [&report](const std::string& stage,
-                                std::initializer_list<const char*> steps) {
-    for (const char* step : steps)
-      EXPECT_TRUE(report.swept_points.contains("lsb." + stage + "." + step))
-          << stage << "." << step;
+TEST(TableOneTest, EveryDeclaredCrashPointIsSweptAtEveryOccurrence) {
+  // Every crash point src/ declares. The three scenarios together -- the
+  // Table-1 close on all four architectures, the manifest roll on the two
+  // SimpleDB ones and the Arch-4 maintenance -- must crash at each of them,
+  // and at every occurrence the uninjected run counted.
+  const std::set<std::string> declared = {
+      "s3.store.begin", "s3.store.after_overflow_put", "s3.store.before_put",
+      "s3.store.after_put",
+      "sdb.store.begin", "sdb.store.after_overflow_put",
+      "sdb.store.mid_putattrs", "sdb.store.between_prov_and_data",
+      "sdb.store.after_data",
+      "wal.store.begin", "wal.store.after_begin", "wal.store.mid_records",
+      "wal.store.after_temp_put", "wal.store.before_commit",
+      "wal.store.after_commit",
+      "commitd.begin", "commitd.after_receive", "commitd.after_sdb",
+      "commitd.after_copy", "commitd.mid_message_delete",
+      "commitd.before_temp_delete", "commitd.after_txn",
+      "lsb.seal.begin", "lsb.seal.after_put",
+      "lsb.index.begin", "lsb.index.mid_publish", "lsb.index.after_publish",
+      "lsb.index.after_mark",
+      "lsb.compact.begin", "lsb.compact.after_put",
+      "lsb.compact.mid_republish", "lsb.compact.after_watermark",
+      "lsb.compact.mid_delete", "lsb.compact.end",
+      "manifest.roll.begin", "manifest.roll.after_block_put",
+      "manifest.roll.after_list_put", "manifest.roll.after_history",
+      "manifest.roll.after_commit"};
+  ASSERT_EQ(declared.size(), 39u);
+
+  std::set<std::string> swept;
+  const auto tally = [&swept](const CrashSweepReport& report,
+                              const std::string& scenario) {
+    for (const auto& [point, p] : report.points) {
+      EXPECT_EQ(p.crashes, p.hits) << scenario << ": " << point;
+      if (p.crashes > 0) swept.insert(point);
+    }
+    EXPECT_EQ(report.crashed_runs, report.crash_scenarios) << scenario;
   };
-  expect("seal", {"begin", "after_put"});
-  expect("index", {"begin", "mid_publish", "after_publish", "after_mark"});
-  expect("compact", {"begin", "after_put", "mid_republish"});
-  expect("compact", {"after_watermark", "mid_delete", "end"});
+  for (const Architecture arch :
+       {Architecture::kS3Only, Architecture::kS3SimpleDb,
+        Architecture::kS3SimpleDbSqs, Architecture::kS3SegmentLog})
+    tally(check_properties(arch, fast_options()).crash_sweep,
+          std::string("close ") + to_string(arch));
+  for (const Architecture arch :
+       {Architecture::kS3SimpleDb, Architecture::kS3SimpleDbSqs})
+    tally(check_manifest_roll(arch, fast_options()),
+          std::string("roll ") + to_string(arch));
+  tally(check_lsb_crash_sweep(fast_options()), "segment log maintenance");
+  EXPECT_EQ(swept, declared);
 }
 
 TEST(TableOneTest, LsbCrashSweepIsCrashSafe) {
@@ -278,21 +313,19 @@ TEST(TableOneTest, LsbCrashSweepIsCrashSafe) {
   // and mid-compaction must never tear the index or lose a committed
   // close, and an uninjected cleaner pass after recovery must leave
   // ancestry walks bit-identical.
-  const LsbCrashReport report = check_lsb_crash_sweep(fast_options());
+  const CrashSweepReport report = check_lsb_crash_sweep(fast_options());
   EXPECT_GT(report.crash_scenarios, 8u);
   EXPECT_GT(report.crashed_runs, 0u);
   EXPECT_EQ(report.violations, 0u);
   EXPECT_TRUE(report.crash_safe());
-  expect_every_lsb_point_swept(report);
 }
 
 TEST(TableOneTest, LsbCrashSweepSurvivesGroupedSubmits) {
   PropertyCheckOptions o = fast_options();
   o.group_size = 8;
-  const LsbCrashReport report = check_lsb_crash_sweep(o);
+  const CrashSweepReport report = check_lsb_crash_sweep(o);
   EXPECT_TRUE(report.crash_safe()) << report.violations << " violations in "
                                    << report.crash_scenarios << " scenarios";
-  expect_every_lsb_point_swept(report);
 }
 
 TEST(TableOneTest, VerdictsSurviveBrownoutsAndThrottleStorms) {
@@ -320,7 +353,7 @@ TEST(TableOneTest, VerdictsSurviveBrownoutsAndThrottleStorms) {
         << " query=" << stormy.efficient_query << " (violations: "
         << stormy.atomicity_violations << "/" << stormy.consistency_violations
         << "/" << stormy.causal_violations << ")";
-    EXPECT_GT(stormy.crash_scenarios, 4u) << to_string(arch);
+    EXPECT_GT(stormy.crash_sweep.crash_scenarios, 4u) << to_string(arch);
   }
 }
 

@@ -68,7 +68,7 @@ TEST_F(S3BackendTest, TransientUnitStoredAsEmptyObject) {
   auto obj = services_.s3.peek(kDataBucket, "proc/1/1");
   ASSERT_TRUE(obj.has_value());
   EXPECT_TRUE(obj->data->empty());
-  EXPECT_EQ(decode_metadata(obj->metadata).kind, "process");
+  EXPECT_EQ(decode_metadata(obj->metadata)->kind, "process");
 }
 
 TEST_F(S3BackendTest, GetProvenanceReturnsStoredRecords) {
@@ -117,6 +117,47 @@ TEST_F(S3BackendTest, SpillCostsExtraPut) {
 TEST_F(S3BackendTest, ReadMissingObjectFails) {
   auto got = backend_->read("never-stored", 3);
   EXPECT_FALSE(got.has_value());
+}
+
+/// An object whose metadata is the encoding of a valid unit, except that
+/// `key` holds `value`; stored with a raw PUT, as a torn or corrupt writer
+/// would leave it.
+void put_with_corrupt_metadata(CloudServices& services,
+                               const std::string& object,
+                               const std::string& key,
+                               const std::string& value) {
+  aws::S3Metadata meta =
+      encode_unit_as_metadata(file_unit(object, 1, "x")).metadata;
+  meta[key] = value;
+  ASSERT_TRUE(services.s3.put(kDataBucket, object, "x", meta).has_value());
+}
+
+TEST_F(S3BackendTest, RecordWithoutEqualsReadsAsCorrupt) {
+  put_with_corrupt_metadata(services_, "f", "p0", "TYPEfile");
+  auto got = backend_->read("f");
+  ASSERT_FALSE(got.has_value());
+  EXPECT_EQ(got.error().code, BackendErrorCode::kCorrupt);
+  auto prov = backend_->get_provenance("f", 1);
+  ASSERT_FALSE(prov.has_value());
+  EXPECT_EQ(prov.error().code, BackendErrorCode::kCorrupt);
+}
+
+TEST_F(S3BackendTest, NonNumericVersionReadsAsCorruptNotVersionZero) {
+  put_with_corrupt_metadata(services_, "f", "x-version", "abc");
+  auto got = backend_->read("f");
+  ASSERT_FALSE(got.has_value());
+  EXPECT_EQ(got.error().code, BackendErrorCode::kCorrupt);
+}
+
+TEST_F(S3BackendTest, VersionAboveUint32ReadsAsCorruptNotTruncated) {
+  put_with_corrupt_metadata(services_, "f", "x-version", "4294967297");
+  auto got = backend_->read("f");
+  ASSERT_FALSE(got.has_value());
+  EXPECT_EQ(got.error().code, BackendErrorCode::kCorrupt);
+  // 2^32 + 1 would have truncated to version 1, the stored unit's own.
+  auto prov = backend_->get_provenance("f", 1);
+  ASSERT_FALSE(prov.has_value());
+  EXPECT_EQ(prov.error().code, BackendErrorCode::kCorrupt);
 }
 
 TEST_F(S3BackendTest, ClaimsMatchTableOne) {
@@ -188,7 +229,7 @@ TEST(S3BackendCrashTest, CrashAfterPutLeavesCompleteState) {
                provcloud::sim::CrashError);
   auto obj = services.s3.peek(kDataBucket, "f");
   ASSERT_TRUE(obj.has_value());
-  EXPECT_FALSE(decode_metadata(obj->metadata).records.empty());
+  EXPECT_FALSE(decode_metadata(obj->metadata)->records.empty());
 }
 
 }  // namespace

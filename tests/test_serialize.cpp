@@ -39,13 +39,13 @@ TEST(ItemNameTest, LastColonWins) {
 
 TEST(RecordCodecTest, TextRoundTrip) {
   const ProvenanceRecord r = make_text_record("ENV", "PATH=/bin;HOME=/root");
-  const ProvenanceRecord back = parse_record(serialize_record(r));
+  const ProvenanceRecord back = parse_record(serialize_record(r)).value();
   EXPECT_EQ(back, r);
 }
 
 TEST(RecordCodecTest, XrefRoundTrip) {
   const ProvenanceRecord r = make_xref_record("INPUT", {"blast/nr.psq", 4});
-  const ProvenanceRecord back = parse_record(serialize_record(r));
+  const ProvenanceRecord back = parse_record(serialize_record(r)).value();
   ASSERT_TRUE(back.is_xref());
   EXPECT_EQ(back.xref().object, "blast/nr.psq");
   EXPECT_EQ(back.xref().version, 4u);
@@ -61,9 +61,14 @@ TEST(RecordCodecTest, NonXrefAttributeStaysText) {
   // "NAME" is not an xref attribute: a value that looks like obj:1 must not
   // be decoded as a cross-reference.
   const ProvenanceRecord r = make_text_record("NAME", "weird:1");
-  const ProvenanceRecord back = parse_record(serialize_record(r));
+  const ProvenanceRecord back = parse_record(serialize_record(r)).value();
   EXPECT_FALSE(back.is_xref());
   EXPECT_EQ(back.text(), "weird:1");
+}
+
+TEST(RecordCodecTest, ValueWithoutEqualsIsRejected) {
+  EXPECT_FALSE(parse_record("TYPEfile").has_value());
+  EXPECT_FALSE(parse_record("").has_value());
 }
 
 TEST(MetadataCodecTest, RoundTrip) {
@@ -77,7 +82,7 @@ TEST(MetadataCodecTest, RoundTrip) {
   const S3MetadataEncoding enc = encode_unit_as_metadata(unit);
   EXPECT_TRUE(enc.spilled_indexes.empty());
 
-  const DecodedMetadata decoded = decode_metadata(enc.metadata);
+  const DecodedMetadata decoded = decode_metadata(enc.metadata).value();
   EXPECT_EQ(decoded.object, "data/foo");
   EXPECT_EQ(decoded.version, 2u);
   EXPECT_EQ(decoded.kind, "file");
@@ -100,7 +105,7 @@ TEST(MetadataCodecTest, OversizedRecordSpills) {
   ASSERT_EQ(enc.spilled_indexes.size(), 1u);
   EXPECT_EQ(enc.spilled_indexes[0], 0u);
   // The in-place value is a pointer.
-  const DecodedMetadata decoded = decode_metadata(enc.metadata);
+  const DecodedMetadata decoded = decode_metadata(enc.metadata).value();
   ASSERT_EQ(decoded.spill_keys.size(), 1u);
   EXPECT_EQ(decoded.spill_keys[0], overflow_key("f", 1, 0));
   // Total metadata fits S3's 2 KB limit despite the 1.5 KB record.
@@ -122,7 +127,7 @@ TEST(MetadataCodecTest, TotalBudgetForcesSpillsOfSmallRecords) {
             provcloud::aws::kS3MaxMetadataBytes);
   EXPECT_GE(enc.spilled_indexes.size(), 2u);
   // Spilled + inline still covers every record.
-  const DecodedMetadata decoded = decode_metadata(enc.metadata);
+  const DecodedMetadata decoded = decode_metadata(enc.metadata).value();
   EXPECT_EQ(decoded.records.size(), unit.records.size());
 }
 
@@ -144,8 +149,25 @@ TEST(MetadataCodecTest, DecodeIgnoresForeignKeys) {
                                   {"x-kind", "file"},
                                   {"unrelated", "junk"},
                                   {"p0", "TYPE=file"}};
-  const DecodedMetadata decoded = decode_metadata(meta);
+  const DecodedMetadata decoded = decode_metadata(meta).value();
   EXPECT_EQ(decoded.records.size(), 1u);
+}
+
+TEST(MetadataCodecTest, CorruptMetadataDecodesToNothing) {
+  const provcloud::aws::S3Metadata good{
+      {"x-object", "o"}, {"x-version", "4294967295"}, {"p0", "TYPE=file"}};
+  ASSERT_TRUE(decode_metadata(good).has_value());
+  EXPECT_EQ(decode_metadata(good)->version, 4294967295u);
+  const auto with = [&good](const std::string& key, const std::string& value) {
+    provcloud::aws::S3Metadata meta = good;
+    meta[key] = value;
+    return meta;
+  };
+  EXPECT_FALSE(decode_metadata(with("p0", "TYPEfile")).has_value());
+  EXPECT_FALSE(decode_metadata(with("x-version", "abc")).has_value());
+  EXPECT_FALSE(decode_metadata(with("x-version", "4294967296")).has_value());
+  EXPECT_FALSE(decode_metadata(with("x-version", "")).has_value());
+  EXPECT_FALSE(decode_metadata(with("x-version", "7 ")).has_value());
 }
 
 TEST(SdbCodecTest, RoundTrip) {

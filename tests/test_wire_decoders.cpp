@@ -1,11 +1,13 @@
 // The wire decoders against bytes they cannot trust: the segment log's
-// PSG2 segments, entry records parts and packed postings, and the
-// manifest's PMB1 blocks and PML1 lists. Crafted inputs that used to throw
+// PSG2 segments, entry records parts and packed postings, the manifest's
+// PMB1 blocks and PML1 lists, Architecture 1's S3 metadata and
+// Architecture 3's WAL message bodies. Crafted inputs that used to throw
 // or run out of memory decode to nothing, and a seeded mutation sweep
 // (truncation at every byte, bit flips, length fields that lie) shows that
 // no decoder throws, reads past its input, or loops.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -14,6 +16,8 @@
 
 #include "cloudprov/lsb/format.hpp"
 #include "cloudprov/manifest/format.hpp"
+#include "cloudprov/serialize.hpp"
+#include "cloudprov/txn.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -101,6 +105,53 @@ manifest::ManifestList sample_list() {
                            ObjectVersion{"b" + std::to_string(b), 2}, 3,
                            100 + b});
   return list;
+}
+
+/// S3 metadata as the mutation sweep sees it: one "<key>\t<value>" line
+/// per entry. Any mutant parses back into some metadata map (a line without
+/// a tab is a key with an empty value).
+std::string flatten(const provcloud::aws::S3Metadata& metadata) {
+  std::string out;
+  for (const auto& [key, value] : metadata) out += key + '\t' + value + '\n';
+  return out;
+}
+
+provcloud::aws::S3Metadata unflatten(const std::string& bytes) {
+  provcloud::aws::S3Metadata out;
+  std::size_t begin = 0;
+  while (begin < bytes.size()) {
+    std::size_t end = bytes.find('\n', begin);
+    if (end == std::string::npos) end = bytes.size();
+    const std::string line = bytes.substr(begin, end - begin);
+    const std::size_t tab = line.find('\t');
+    out[line.substr(0, tab)] =
+        tab == std::string::npos ? "" : line.substr(tab + 1);
+    begin = end + 1;
+  }
+  return out;
+}
+
+/// A unit with an xref, a record whose value needs escaping and one that
+/// S3 metadata spills.
+FlushUnit sample_unit() {
+  FlushUnit unit;
+  unit.object = "out/a;b";
+  unit.version = 12;
+  unit.kind = PnodeKind::kFile;
+  unit.records = {make_text_record("NAME", "out/a;b"),
+                  make_text_record("ENV", "A=1,B=2|3"),
+                  make_xref_record(attr::kInput, ObjectVersion{"proc:3", 1}),
+                  make_text_record("ARGV", std::string(1100, 'v'))};
+  return unit;
+}
+
+/// The WAL transaction of sample_unit(), one message body per record.
+std::vector<std::string> sample_wal_bodies() {
+  std::vector<std::string> out;
+  for (const WalRecord& r :
+       build_transaction("tx-9", sample_unit(), ".tmp/x", "n0", "ab12"))
+    out.push_back(encode_wal_record(r));
+  return out;
 }
 
 // --- crafted inputs: each decodes to nothing instead of throwing ---
@@ -245,6 +296,37 @@ std::vector<Subject> subjects() {
                    return true;
                  },
                  [](const std::string&) { return false; }});
+  out.push_back(
+      {"S3 metadata",
+       flatten(encode_unit_as_metadata(sample_unit()).metadata),
+       [](const std::string& b) {
+         auto got = decode_metadata(unflatten(b));
+         if (!got) return false;
+         EXPECT_LE(got->records.size(), b.size());
+         return true;
+       },
+       // No count: dropping entries or shortening a value still decodes.
+       [](const std::string&) { return true; }});
+  const auto wal_subject = [](const char* name, const std::string& body) {
+    return Subject{
+        name, body,
+        [](const std::string& b) {
+          auto got = decode_wal_record(b);
+          if (!got) return false;
+          EXPECT_LE(got->records.size(), b.size());
+          return true;
+        },
+        // Only a provenance chunk cut inside its records may decode.
+        [](const std::string& prefix) {
+          return prefix.starts_with("P;") &&
+                 std::count(prefix.begin(), prefix.end(), ';') == 5;
+        }};
+  };
+  for (const std::string& body : sample_wal_bodies()) {
+    if (body[0] == 'D') out.push_back(wal_subject("WAL data record", body));
+    if (body[0] == 'P')
+      out.push_back(wal_subject("WAL provenance chunk", body));
+  }
   return out;
 }
 
