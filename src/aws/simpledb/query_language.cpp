@@ -44,7 +44,8 @@ class Lexer {
     skip_space();
     if (pos_ >= text_.size()) return Token{Token::Kind::kEnd, ""};
     const char c = text_[pos_];
-    if (c == '\'' || c == '"') return lex_string(c);
+    // Backticks quote a domain or attribute name ("from `provenance-0`").
+    if (c == '\'' || c == '"' || c == '`') return lex_string(c);
     if (c == '[' || c == ']' || c == '(' || c == ')' || c == ',' || c == '*') {
       ++pos_;
       return Token{Token::Kind::kPunct, std::string(1, c)};
@@ -83,22 +84,20 @@ class Lexer {
   util::Expected<Token, std::string> lex_string(char quote) {
     ++pos_;  // opening quote
     std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == quote) {
-        // Doubled quote escapes itself ('it''s').
-        if (pos_ + 1 < text_.size() && text_[pos_ + 1] == quote) {
-          out.push_back(quote);
-          pos_ += 2;
-          continue;
-        }
+    for (;;) {
+      const std::size_t end = text_.find(quote, pos_);
+      if (end == std::string_view::npos)
+        return util::Unexpected(std::string("unterminated string literal"));
+      out.append(text_.substr(pos_, end - pos_));
+      pos_ = end + 1;
+      // Doubled quote escapes itself ('it''s').
+      if (pos_ < text_.size() && text_[pos_] == quote) {
+        out.push_back(quote);
         ++pos_;
-        return Token{Token::Kind::kString, out};
+        continue;
       }
-      out.push_back(c);
-      ++pos_;
+      return Token{Token::Kind::kString, std::move(out)};
     }
-    return util::Unexpected(std::string("unterminated string literal"));
   }
 
   util::Expected<Token, std::string> lex_word() {
@@ -121,10 +120,13 @@ class Lexer {
   std::size_t pos_ = 0;
 };
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return s;
+/// Keywords match case-insensitively; `keyword` is lower case.
+bool is_keyword(std::string_view text, std::string_view keyword) {
+  return text.size() == keyword.size() &&
+         std::equal(text.begin(), text.end(), keyword.begin(),
+                    [](char a, char b) {
+                      return std::tolower(static_cast<unsigned char>(a)) == b;
+                    });
 }
 
 std::optional<CompareOp> op_from_token(const Token& tok) {
@@ -136,7 +138,7 @@ std::optional<CompareOp> op_from_token(const Token& tok) {
     if (tok.text == ">") return CompareOp::kGt;
     if (tok.text == ">=") return CompareOp::kGe;
   }
-  if (tok.kind == Token::Kind::kWord && lower(tok.text) == "starts-with")
+  if (tok.kind == Token::Kind::kWord && is_keyword(tok.text, "starts-with"))
     return CompareOp::kStartsWith;
   return std::nullopt;
 }
@@ -156,11 +158,10 @@ class QueryParser {
     if (!first) return util::Unexpected(first.error());
     expr.predicates.push_back(std::move(*first));
     while (cur_.kind == Token::Kind::kWord) {
-      const std::string word = lower(cur_.text);
       SetOp op;
-      if (word == "union") {
+      if (is_keyword(cur_.text, "union")) {
         op = SetOp::kUnion;
-      } else if (word == "intersection") {
+      } else if (is_keyword(cur_.text, "intersection")) {
         op = SetOp::kIntersection;
       } else {
         return util::Unexpected("expected 'union' or 'intersection', got '" +
@@ -188,7 +189,7 @@ class QueryParser {
 
   util::Expected<Predicate, std::string> parse_term() {
     Predicate pred;
-    if (cur_.kind == Token::Kind::kWord && lower(cur_.text) == "not") {
+    if (cur_.kind == Token::Kind::kWord && is_keyword(cur_.text, "not")) {
       pred.negated = true;
       if (auto err = advance(); !err.empty()) return util::Unexpected(err);
     }
@@ -224,12 +225,11 @@ class QueryParser {
         return pred;
       }
       if (cur_.kind == Token::Kind::kWord) {
-        const std::string word = lower(cur_.text);
-        if (word == "and") {
+        if (is_keyword(cur_.text, "and")) {
           if (auto err = advance(); !err.empty()) return util::Unexpected(err);
           continue;  // same AND-chain
         }
-        if (word == "or") {
+        if (is_keyword(cur_.text, "or")) {
           pred.or_groups.emplace_back();
           if (auto err = advance(); !err.empty()) return util::Unexpected(err);
           continue;
@@ -381,7 +381,7 @@ class SelectParser {
       if (cur_.kind != Token::Kind::kWord && cur_.kind != Token::Kind::kString)
         return util::Unexpected(std::string("expected attribute in order by"));
       stmt.order_by = cur_.text;
-      const bool maybe_item_name = lower(cur_.text) == "itemname";
+      const bool maybe_item_name = is_keyword(cur_.text, "itemname");
       if (auto err = advance(); !err.empty()) return util::Unexpected(err);
       if (maybe_item_name && cur_.kind == Token::Kind::kPunct &&
           cur_.text == "(") {
@@ -432,7 +432,7 @@ class SelectParser {
   }
 
   bool is_word(std::string_view w) const {
-    return cur_.kind == Token::Kind::kWord && lower(cur_.text) == w;
+    return cur_.kind == Token::Kind::kWord && is_keyword(cur_.text, w);
   }
 
   bool eat_word(std::string_view w) {
@@ -579,7 +579,7 @@ class SelectParser {
     }
     node->attribute = cur_.text;
     const bool maybe_item_name =
-        cur_.kind == Token::Kind::kWord && lower(cur_.text) == "itemname";
+        cur_.kind == Token::Kind::kWord && is_keyword(cur_.text, "itemname");
     if (auto err = advance(); !err.empty()) return util::Unexpected(err);
     if (maybe_item_name && cur_.kind == Token::Kind::kPunct &&
         cur_.text == "(") {
@@ -611,7 +611,11 @@ class SelectParser {
       for (;;) {
         if (cur_.kind != Token::Kind::kString)
           return util::Unexpected(std::string("expected value in IN list"));
-        node->values.push_back(cur_.text);
+        node->values.push_back(std::move(cur_.text));
+        if (node->values.size() > kSdbMaxSelectComparisons)
+          return util::Unexpected(
+              "more than " + std::to_string(kSdbMaxSelectComparisons) +
+              " values in IN list");
         if (auto err = advance(); !err.empty()) return util::Unexpected(err);
         if (cur_.kind == Token::Kind::kPunct && cur_.text == ",") {
           if (auto err = advance(); !err.empty()) return util::Unexpected(err);
@@ -806,6 +810,20 @@ std::set<std::string> evaluate_where(const Condition* cond,
   }
   for (const auto& [name, item] : domain.items)
     if (item_matches_condition(name, item, *cond)) out.insert(name);
+  return out;
+}
+
+std::vector<const std::string*> listed_item_names(const Condition* cond) {
+  std::vector<const std::string*> out;
+  if (cond == nullptr || cond->attribute != "itemName()" || cond->every)
+    return out;
+  if (cond->kind == Condition::Kind::kIn) {
+    out.reserve(cond->values.size());
+    for (const std::string& name : cond->values) out.push_back(&name);
+  } else if (cond->kind == Condition::Kind::kCompare &&
+             cond->op == CompareOp::kEq) {
+    out.push_back(&cond->value);
+  }
   return out;
 }
 

@@ -32,13 +32,15 @@
 //      select count(*) from mydomain
 //
 //    Output clause: '*', 'itemName()', 'count(*)', or an attribute list.
-//    WHERE supports =, !=, <, <=, >, >=, like 'pattern%', in ('a','b',...),
-//    between 'x' and 'y', is null / is not null, and/or/not with
-//    parentheses, and the every() quantifier (every value of a multi-valued
-//    attribute must satisfy the comparison, instead of the default "some
-//    value"). ORDER BY sorts on one attribute (or itemName()) ascending or
-//    descending; as in the real service, the ordered attribute must be
-//    constrained in the WHERE clause.
+//    WHERE supports =, !=, <, <=, >, >=, like 'pattern%', in ('a','b',...)
+//    with at most 20 values (kSdbMaxSelectComparisons), between 'x' and
+//    'y', is null / is not null, and/or/not with parentheses, and the
+//    every() quantifier (every value of a multi-valued attribute must
+//    satisfy the comparison, instead of the default "some value"). ORDER BY
+//    sorts on one attribute (or itemName()) ascending or descending; as in
+//    the real service, the ordered attribute must be constrained in the
+//    WHERE clause. A domain or attribute name may be backtick-quoted
+//    (select * from `provenance-0`).
 #pragma once
 
 #include <memory>
@@ -138,6 +140,12 @@ SelectParseResult parse_select(std::string_view text);
 /// Matching item names for a SELECT's WHERE clause.
 std::set<std::string> evaluate_where(const Condition* cond,
                                      const SdbDomainData& domain);
+
+/// The names a WHERE clause lists when it is exactly `itemName() = '...'`
+/// or `itemName() in (...)`, as written (unsorted, repeats kept); empty for
+/// any other clause. The service looks these names up in the item map
+/// instead of scanning the domain.
+std::vector<const std::string*> listed_item_names(const Condition* cond);
 
 /// Matching item names ordered per the statement's ORDER BY (item-name
 /// order when absent).

@@ -450,8 +450,28 @@ AwsResult<SimpleDbService::SelectResult> SimpleDbService::select(
   }
   std::unique_lock<std::mutex> lock(*d->mu);
   const SdbDomainData& replica = pick_replica(*d);
-  const std::vector<std::string> matches =
-      sdbql::evaluate_select_order(*parsed, replica);
+  // The matching items, in result order, as entries of the replica's map:
+  // each row below is built once from its entry.
+  using Entry = std::map<std::string, SdbItem>::value_type;
+  std::vector<const Entry*> matches;
+  const std::vector<const std::string*> listed =
+      sdbql::listed_item_names(stmt.where.get());
+  if (!listed.empty() &&
+      (stmt.order_by.empty() || stmt.order_by == "itemName()")) {
+    // itemName() = / in (...): seek each listed name instead of scanning,
+    // and answer as the scan would -- in item-name order, each item once.
+    for (const std::string* name : listed) {
+      auto it = replica.items.find(*name);
+      if (it != replica.items.end()) matches.push_back(&*it);
+    }
+    std::sort(matches.begin(), matches.end(),
+              [](const Entry* a, const Entry* b) { return a->first < b->first; });
+    matches.erase(std::unique(matches.begin(), matches.end()), matches.end());
+    if (stmt.order_descending) std::reverse(matches.begin(), matches.end());
+  } else {
+    for (const std::string& name : sdbql::evaluate_select_order(stmt, replica))
+      matches.push_back(&*replica.items.find(name));
+  }
 
   SelectResult out;
   std::uint64_t bytes_out = 0;
@@ -463,16 +483,17 @@ AwsResult<SimpleDbService::SelectResult> SimpleDbService::select(
     return out;
   }
   const std::size_t offset = token_offset(next_token);
+  out.items.reserve(std::min(matches.size(), stmt.limit));
   std::size_t i = 0;
-  for (const std::string& name : matches) {
+  for (const Entry* entry : matches) {
     if (i++ < offset) continue;
     if (out.items.size() == stmt.limit) {
       out.next_token = std::to_string(offset + stmt.limit);
       break;
     }
     ItemWithAttributes row;
-    row.name = name;
-    const SdbItem& full = replica.items.at(name);
+    row.name = entry->first;
+    const SdbItem& full = entry->second;
     switch (stmt.output) {
       case sdbql::SelectOutput::kAllAttributes:
         row.attributes = full;

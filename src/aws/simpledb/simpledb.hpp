@@ -111,7 +111,10 @@ class SimpleDbService {
     std::optional<std::string> next_token;
   };
   /// SQL-form query ("SELECT provides functionality similar to
-  /// QueryWithAttributes").
+  /// QueryWithAttributes"). A WHERE of exactly `itemName() = '...'` or
+  /// `itemName() in (...)` looks the listed names up instead of scanning
+  /// the domain; an IN list of more than 20 values is an
+  /// InvalidQueryExpression.
   AwsResult<SelectResult> select(const std::string& expression,
                                  const std::string& next_token = "");
 

@@ -11,7 +11,9 @@
 //     spilled to S3 (Architectures 2 and 3);
 //   * at most 256 attribute pairs per item;
 //   * at most 100 attributes per PutAttributes call -> storing a big
-//     provenance record takes multiple calls.
+//     provenance record takes multiple calls;
+//   * at most 20 comparisons per Select expression -> a batched read of
+//     `itemName() in (...)` names at most 20 items per call.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +32,7 @@ inline constexpr std::size_t kSdbMaxAttrsPerCall = 100;
 inline constexpr std::size_t kSdbMaxItemsPerBatch = 25;
 inline constexpr std::size_t kSdbMaxQueryResults = 250;
 inline constexpr std::size_t kSdbDefaultQueryResults = 100;
+inline constexpr std::size_t kSdbMaxSelectComparisons = 20;
 
 struct SdbAttribute {
   std::string name;

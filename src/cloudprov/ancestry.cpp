@@ -169,8 +169,9 @@ AncestryResult fetch_ancestry(ProvenanceBackend& backend,
                               const std::string& object, std::uint32_t version,
                               std::size_t max_nodes) {
   // One batched fetch per BFS frontier: the default get_provenance_many is
-  // the classic one-round-trip-per-node walk; Arch 4 folds a frontier into
-  // one range GET per segment.
+  // the classic one-round-trip-per-node walk; Arch 2/3 fold a frontier into
+  // one SimpleDB Select per 20 ids of a shard domain, and Arch 4 into one
+  // range GET per segment.
   return walk_ancestry(
       [&backend](const std::vector<ObjectVersion>& ids) {
         return backend.get_provenance_many(ids);

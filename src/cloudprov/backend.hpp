@@ -220,9 +220,10 @@ class ProvenanceBackend {
   /// Batched get_provenance: one result per id, in input order, each what
   /// get_provenance would return for it. fetch_ancestry hands it one BFS
   /// frontier at a time. The default calls get_provenance for each id in
-  /// turn, so a backend that does not override it makes exactly the
-  /// requests of a per-node walk; Arch 4 overrides it to fetch a
-  /// frontier's entries with one range GET per segment.
+  /// turn, so a backend that does not override it (Arch 1) makes exactly
+  /// the requests of a per-node walk. Arch 2/3 override it to fetch a
+  /// frontier with one SimpleDB Select per 20 ids of a shard domain, and
+  /// Arch 4 with one range GET per segment.
   virtual std::vector<BackendResult<std::vector<pass::ProvenanceRecord>>>
   get_provenance_many(const std::vector<pass::ObjectVersion>& ids);
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <optional>
+#include <span>
 
 #include "cloudprov/consistency_read.hpp"
 #include "cloudprov/serialize.hpp"
@@ -15,37 +17,12 @@ namespace provcloud::cloudprov {
 
 namespace {
 const util::SharedBytes kEmptyBytes = util::make_shared_bytes(util::Bytes{});
-}
 
-// ---------------------------------------------------------------------------
-// Shared consistency machinery (consistency_read.hpp)
-// ---------------------------------------------------------------------------
-
-std::string nonce_for_version(std::uint32_t version) {
-  return std::to_string(version);
-}
-
-BackendResult<std::vector<pass::ProvenanceRecord>> fetch_sdb_provenance(
-    CloudServices& services, const DomainTopology& topology,
-    const std::string& object, std::uint32_t version,
-    std::uint32_t max_retries) {
-  const std::string item = item_name(object, version);
-  const std::string& domain = topology.domain_for_object(object);
-  aws::SdbItem attrs;
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    if (attempt > 0)
-      charge_read_retry(*services.env);
-    auto got = services.sdb.get_attributes(domain, item);
-    if (got && !got->empty()) {
-      attrs = std::move(*got);
-      break;
-    }
-    if (attempt >= max_retries)
-      return backend_error(BackendErrorCode::kConsistencyExhausted,
-                           "provenance item never became visible: " + item);
-  }
-  std::vector<pass::ProvenanceRecord> records = decode_attributes(attrs);
-  // Resolve spill pointers ("@s3:<key>").
+/// Replace every spill pointer ("@s3:<key>") in `records` with the S3
+/// object it names, retrying each GET against propagation races.
+BackendResult<void> resolve_spills(CloudServices& services,
+                                   std::vector<pass::ProvenanceRecord>& records,
+                                   std::uint32_t max_retries) {
   for (pass::ProvenanceRecord& r : records) {
     if (r.is_xref()) continue;
     if (r.text().rfind(kSpillMarker, 0) != 0) continue;
@@ -74,7 +51,173 @@ BackendResult<std::vector<pass::ProvenanceRecord>> fetch_sdb_provenance(
       return backend_error(BackendErrorCode::kConsistencyExhausted,
                            "unresolvable provenance overflow object: " + key);
   }
+  return {};
+}
+
+/// One item a fetch wants: its shard and name, an input slot that asked
+/// for it, and its attributes once a replica answered.
+struct WantedItem {
+  std::size_t shard = 0;
+  std::string name;
+  std::size_t slot = 0;
+  std::optional<aws::SdbItem> attrs;
+};
+using WantedIter = std::vector<WantedItem*>::const_iterator;
+
+/// `select * from `<domain>` where itemName() in ('a', ...)` over
+/// [first, last), a quote inside a name doubled.
+std::string select_items_expression(const std::string& domain,
+                                    WantedIter first, WantedIter last) {
+  std::size_t size = domain.size() + 48;
+  for (auto it = first; it != last; ++it) size += (*it)->name.size() + 4;
+  std::string out;
+  out.reserve(size);
+  out.append("select * from `").append(domain).append("` where itemName() in (");
+  for (auto it = first; it != last; ++it) {
+    out += it == first ? "'" : ", '";
+    const std::string& name = (*it)->name;
+    for (std::size_t from = 0;;) {
+      const std::size_t quote = name.find('\'', from);
+      if (quote == std::string::npos) {
+        out.append(name, from);
+        break;
+      }
+      out.append(name, from, quote + 1 - from).push_back('\'');
+      from = quote + 1;
+    }
+    out.push_back('\'');
+  }
+  out.push_back(')');
+  return out;
+}
+
+/// Fetch the attributes of one shard domain's wanted items (distinct, in
+/// name order): each round asks for the names no replica has answered yet,
+/// at most kSdbMaxSelectComparisons per call (a lone name is a
+/// GetAttributes, the cheaper request); a name an answer lacks is a
+/// propagation race, asked again next round, for up to max_retries rounds.
+void fetch_domain_items(CloudServices& services, const std::string& domain,
+                        std::span<WantedItem> items,
+                        std::uint32_t max_retries) {
+  std::vector<WantedItem*> pending;
+  pending.reserve(items.size());
+  for (WantedItem& item : items) pending.push_back(&item);
+  for (std::uint32_t attempt = 0; attempt <= max_retries && !pending.empty();
+       ++attempt) {
+    if (attempt > 0)
+      charge_read_retry(*services.env);
+    // Even calls: n >= 2 names never leave a lone name for a call of its
+    // own, so they cost ceil(n / 20) Selects.
+    const std::size_t n = pending.size();
+    const std::size_t calls =
+        (n + aws::kSdbMaxSelectComparisons - 1) / aws::kSdbMaxSelectComparisons;
+    for (std::size_t call = 0; call < calls; ++call) {
+      const WantedIter from =
+          pending.cbegin() + static_cast<std::ptrdiff_t>(call * n / calls);
+      const WantedIter to =
+          pending.cbegin() + static_cast<std::ptrdiff_t>((call + 1) * n / calls);
+      if (to - from == 1) {
+        auto got = services.sdb.get_attributes(domain, (*from)->name);
+        if (got && !got->empty()) (*from)->attrs = std::move(*got);
+        continue;
+      }
+      auto got = services.sdb.select(select_items_expression(domain, from, to));
+      if (!got) continue;
+      // Rows come back in name order, as `pending` lists the names.
+      WantedIter want = from;
+      for (aws::SimpleDbService::ItemWithAttributes& row : got->items) {
+        while (want != to && (*want)->name < row.name) ++want;
+        if (want != to && (*want)->name == row.name)
+          (*want)->attrs = std::move(row.attributes);
+      }
+    }
+    std::erase_if(pending, [](const WantedItem* item) {
+      return item->attrs.has_value();
+    });
+  }
+}
+
+/// The records of a fetched item, its spill pointers resolved; an item no
+/// replica answered is kConsistencyExhausted.
+BackendResult<std::vector<pass::ProvenanceRecord>> item_records(
+    CloudServices& services, const WantedItem& item,
+    std::uint32_t max_retries) {
+  if (!item.attrs)
+    return backend_error(BackendErrorCode::kConsistencyExhausted,
+                         "provenance item never became visible: " + item.name);
+  std::vector<pass::ProvenanceRecord> records = decode_attributes(*item.attrs);
+  auto resolved = resolve_spills(services, records, max_retries);
+  if (!resolved) return util::Unexpected(resolved.error());
   return records;
+}
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Shared consistency machinery (consistency_read.hpp)
+// ---------------------------------------------------------------------------
+
+std::string nonce_for_version(std::uint32_t version) {
+  return std::to_string(version);
+}
+
+BackendResult<std::vector<pass::ProvenanceRecord>> fetch_sdb_provenance(
+    CloudServices& services, const DomainTopology& topology,
+    const std::string& object, std::uint32_t version,
+    std::uint32_t max_retries) {
+  WantedItem item{topology.shard_of(object), item_name(object, version), 0,
+                  std::nullopt};
+  fetch_domain_items(services, topology.domains()[item.shard], {&item, 1},
+                     max_retries);
+  return item_records(services, item, max_retries);
+}
+
+std::vector<BackendResult<std::vector<pass::ProvenanceRecord>>>
+fetch_sdb_provenance_many(CloudServices& services,
+                          const DomainTopology& topology,
+                          const std::vector<pass::ObjectVersion>& ids,
+                          std::uint32_t max_retries) {
+  std::vector<BackendResult<std::vector<pass::ProvenanceRecord>>> out(
+      ids.size(), backend_error(BackendErrorCode::kUnknown, "not fetched"));
+  // The wanted items grouped by shard domain, each distinct name once, in
+  // name order; a repeated id copies the answer of the slot it repeats.
+  std::vector<WantedItem> wanted;
+  wanted.reserve(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    wanted.push_back(WantedItem{topology.shard_of(ids[i].object),
+                                item_name(ids[i].object, ids[i].version), i,
+                                std::nullopt});
+  std::sort(wanted.begin(), wanted.end(),
+            [](const WantedItem& a, const WantedItem& b) {
+              return a.shard != b.shard ? a.shard < b.shard : a.name < b.name;
+            });
+  std::vector<std::pair<std::size_t, std::size_t>> repeats;  // slot, of slot
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < wanted.size(); ++i) {
+    if (kept > 0 && wanted[i].name == wanted[kept - 1].name)
+      repeats.emplace_back(wanted[i].slot, wanted[kept - 1].slot);
+    else if (kept++ != i)
+      wanted[kept - 1] = std::move(wanted[i]);
+  }
+  wanted.resize(kept);
+
+  // One task per shard domain, in shard order.
+  std::vector<std::function<void()>> tasks;
+  for (auto first = wanted.begin(); first != wanted.end();) {
+    const auto last = std::find_if(first, wanted.end(), [&](const WantedItem& w) {
+      return w.shard != first->shard;
+    });
+    tasks.push_back([&services, &out, max_retries,
+                     domain = &topology.domains()[first->shard],
+                     items = std::span<WantedItem>(first, last)] {
+      fetch_domain_items(services, *domain, items, max_retries);
+      for (const WantedItem& item : items)
+        out[item.slot] = item_records(services, item, max_retries);
+    });
+    first = last;
+  }
+  topology.run_tasks(std::move(tasks));
+  for (const auto& [slot, of] : repeats) out[slot] = out[of];
+  return out;
 }
 
 BackendResult<ReadResult> consistency_checked_read(
@@ -118,11 +261,11 @@ BackendResult<ReadResult> consistency_checked_read(
     best.retries = attempt;
     have_any = true;
     if (actual == expected) {
+      // A verified pair: its spill pointers resolve from the attributes
+      // already in hand. A pair whose spill never resolves is no answer.
+      auto resolved = resolve_spills(services, best.records, max_retries);
+      if (!resolved) return util::Unexpected(resolved.error());
       best.verified = true;
-      // Spill pointers resolve through the slower path.
-      auto resolved = fetch_sdb_provenance(services, topology, object, version,
-                                           max_retries);
-      if (resolved) best.records = std::move(*resolved);
       return best;
     }
   }
@@ -336,6 +479,11 @@ BackendResult<ReadResult> SdbBackend::read(const std::string& object,
 BackendResult<std::vector<pass::ProvenanceRecord>> SdbBackend::get_provenance(
     const std::string& object, std::uint32_t version) {
   return fetch_sdb_provenance(*services_, *topology_, object, version, 64);
+}
+
+std::vector<BackendResult<std::vector<pass::ProvenanceRecord>>>
+SdbBackend::get_provenance_many(const std::vector<pass::ObjectVersion>& ids) {
+  return fetch_sdb_provenance_many(*services_, *topology_, ids, 64);
 }
 
 void SdbBackend::recover() {

@@ -58,6 +58,10 @@ class SdbBackend final : public ProvenanceBackend {
                                  std::uint32_t max_retries = 64) override;
   BackendResult<std::vector<pass::ProvenanceRecord>> get_provenance(
       const std::string& object, std::uint32_t version) override;
+  /// A BFS frontier in one Select per 20 ids of a shard domain
+  /// (fetch_sdb_provenance_many).
+  std::vector<BackendResult<std::vector<pass::ProvenanceRecord>>>
+  get_provenance_many(const std::vector<pass::ObjectVersion>& ids) override;
 
   /// Orphan-provenance scan: delete items whose data never made it to S3.
   void recover() override;

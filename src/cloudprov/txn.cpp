@@ -1,6 +1,7 @@
 #include "cloudprov/txn.hpp"
 
 #include "cloudprov/serialize.hpp"
+#include "cloudprov/wire_codec.hpp"
 #include "util/require.hpp"
 #include "util/string_utils.hpp"
 
@@ -30,6 +31,13 @@ char kind_code(WalRecord::Kind kind) {
     case WalRecord::Kind::kCommit: return 'C';
   }
   return '?';
+}
+
+/// A count, version or chunk index: the whole field a decimal u32, so a
+/// sign, a space, trailing bytes or a value above UINT32_MAX is corrupt.
+bool parse_u32(const std::string& field, std::uint32_t& out) {
+  wire::Cursor c(field);
+  return c.read_u32(out) && c.done();
 }
 
 }  // namespace
@@ -75,62 +83,56 @@ std::optional<WalRecord> decode_wal_record(util::BytesView body) {
   if (f.size() < 2 || f[0].size() != 1) return std::nullopt;
   WalRecord r;
   r.txid = field_unescape(f[1]);
-  try {
-    switch (f[0][0]) {
-      case 'B':
-        if (f.size() != 3) return std::nullopt;
-        r.kind = WalRecord::Kind::kBegin;
-        r.record_count = static_cast<std::uint32_t>(std::stoul(f[2]));
-        break;
-      case 'D': {
-        if (f.size() != 7) return std::nullopt;
-        r.kind = WalRecord::Kind::kData;
-        r.temp_key = field_unescape(f[2]);
-        r.object = field_unescape(f[3]);
-        r.version = static_cast<std::uint32_t>(std::stoul(f[4]));
-        r.nonce = field_unescape(f[5]);
-        if (f[6] == "file")
-          r.pnode_kind = pass::PnodeKind::kFile;
-        else if (f[6] == "process")
-          r.pnode_kind = pass::PnodeKind::kProcess;
-        else if (f[6] == "pipe")
-          r.pnode_kind = pass::PnodeKind::kPipe;
-        else
-          return std::nullopt;
-        break;
-      }
-      case 'P': {
-        if (f.size() != 6) return std::nullopt;
-        r.kind = WalRecord::Kind::kProv;
-        r.object = field_unescape(f[2]);
-        r.version = static_cast<std::uint32_t>(std::stoul(f[3]));
-        r.chunk_index = static_cast<std::uint32_t>(std::stoul(f[4]));
-        if (!f[5].empty()) {
-          for (const std::string& piece : util::split(f[5], '|')) {
-            std::optional<pass::ProvenanceRecord> record = parse_record(piece);
-            if (!record) return std::nullopt;
-            r.records.push_back(std::move(*record));
-          }
-        }
-        break;
-      }
-      case 'M':
-        if (f.size() != 6) return std::nullopt;
-        r.kind = WalRecord::Kind::kMd5;
-        r.object = field_unescape(f[2]);
-        r.version = static_cast<std::uint32_t>(std::stoul(f[3]));
-        r.nonce = field_unescape(f[4]);
-        r.md5 = field_unescape(f[5]);
-        break;
-      case 'C':
-        if (f.size() != 2) return std::nullopt;
-        r.kind = WalRecord::Kind::kCommit;
-        break;
-      default:
+  switch (f[0][0]) {
+    case 'B':
+      if (f.size() != 3 || !parse_u32(f[2], r.record_count))
         return std::nullopt;
+      r.kind = WalRecord::Kind::kBegin;
+      break;
+    case 'D': {
+      if (f.size() != 7 || !parse_u32(f[4], r.version)) return std::nullopt;
+      r.kind = WalRecord::Kind::kData;
+      r.temp_key = field_unescape(f[2]);
+      r.object = field_unescape(f[3]);
+      r.nonce = field_unescape(f[5]);
+      if (f[6] == "file")
+        r.pnode_kind = pass::PnodeKind::kFile;
+      else if (f[6] == "process")
+        r.pnode_kind = pass::PnodeKind::kProcess;
+      else if (f[6] == "pipe")
+        r.pnode_kind = pass::PnodeKind::kPipe;
+      else
+        return std::nullopt;
+      break;
     }
-  } catch (...) {
-    return std::nullopt;
+    case 'P': {
+      if (f.size() != 6 || !parse_u32(f[3], r.version) ||
+          !parse_u32(f[4], r.chunk_index))
+        return std::nullopt;
+      r.kind = WalRecord::Kind::kProv;
+      r.object = field_unescape(f[2]);
+      if (!f[5].empty()) {
+        for (const std::string& piece : util::split(f[5], '|')) {
+          std::optional<pass::ProvenanceRecord> record = parse_record(piece);
+          if (!record) return std::nullopt;
+          r.records.push_back(std::move(*record));
+        }
+      }
+      break;
+    }
+    case 'M':
+      if (f.size() != 6 || !parse_u32(f[3], r.version)) return std::nullopt;
+      r.kind = WalRecord::Kind::kMd5;
+      r.object = field_unescape(f[2]);
+      r.nonce = field_unescape(f[4]);
+      r.md5 = field_unescape(f[5]);
+      break;
+    case 'C':
+      if (f.size() != 2) return std::nullopt;
+      r.kind = WalRecord::Kind::kCommit;
+      break;
+    default:
+      return std::nullopt;
   }
   return r;
 }

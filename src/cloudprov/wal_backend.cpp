@@ -467,6 +467,11 @@ BackendResult<std::vector<pass::ProvenanceRecord>> WalBackend::get_provenance(
   return fetch_sdb_provenance(*services_, *topology_, object, version, 64);
 }
 
+std::vector<BackendResult<std::vector<pass::ProvenanceRecord>>>
+WalBackend::get_provenance_many(const std::vector<pass::ObjectVersion>& ids) {
+  return fetch_sdb_provenance_many(*services_, *topology_, ids, 64);
+}
+
 std::unique_ptr<ProvenanceBackend> make_wal_backend(CloudServices& services) {
   return std::make_unique<WalBackend>(services, WalBackendConfig{});
 }

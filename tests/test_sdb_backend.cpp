@@ -2,6 +2,8 @@
 // the atomicity hole and the orphan-scan recovery.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "cloudprov/consistency_read.hpp"
 #include "cloudprov/sdb_backend.hpp"
 #include "cloudprov/serialize.hpp"
@@ -94,6 +96,45 @@ TEST_F(SdbBackendTest, LargeValueSpillsToS3) {
   for (const auto& r : *prov)
     if (r.attribute == "ENV" && r.text() == big) found = true;
   EXPECT_TRUE(found);
+}
+
+TEST_F(SdbBackendTest, VerifiedReadFetchesItsItemOnce) {
+  const std::string big(1500, 'e');
+  backend_->store(file_unit("f", 1, "x",
+                            {make_text_record("TYPE", "file"),
+                             make_text_record("ENV", big)}));
+  const auto before = env_.meter().snapshot();
+  auto got = backend_->read("f");
+  const auto diff = env_.meter().snapshot().diff(before);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_TRUE(got->verified);
+  // One GetAttributes for the item it verified, one GET for the data and
+  // one for the spilled value -- no second fetch of the item.
+  EXPECT_EQ(diff.calls("sdb", "GetAttributes"), 1u);
+  EXPECT_EQ(diff.calls("sdb"), 1u);
+  EXPECT_EQ(diff.calls("s3", "GET"), 2u);
+  bool resolved = false;
+  for (const auto& r : got->records)
+    resolved |= r.attribute == "ENV" && r.text() == big;
+  EXPECT_TRUE(resolved);
+}
+
+TEST_F(SdbBackendTest, VerifiedReadWithALostSpillFails) {
+  backend_->store(file_unit("f", 1, "x",
+                            {make_text_record("TYPE", "file"),
+                             make_text_record("ENV", std::string(1500, 'e'))}));
+  auto item = services_.sdb.peek_item(kProvenanceDomain, "f:1");
+  ASSERT_TRUE(item.has_value());
+  const std::string marker = *item->at("ENV").begin();
+  ASSERT_EQ(marker.rfind(kSpillMarker, 0), 0u);
+  ASSERT_TRUE(services_.s3
+                  .del(kDataBucket, marker.substr(std::strlen(kSpillMarker)))
+                  .has_value());
+  // The pair verifies, but its spilled value is gone: the read fails
+  // instead of handing back the "@s3:" pointer as the record's value.
+  auto got = backend_->read("f", 4);
+  ASSERT_FALSE(got.has_value());
+  EXPECT_EQ(got.error().code, BackendErrorCode::kConsistencyExhausted);
 }
 
 TEST_F(SdbBackendTest, ManyRecordsChunkPutAttributes) {

@@ -1,9 +1,11 @@
 // The 2009 SimpleDB query languages: bracket Query expressions and SELECT.
 // Includes a brute-force reference evaluator cross-checked against the
-// indexed evaluator over randomized domains.
+// indexed evaluator over randomized domains, and the service's itemName()
+// seek cross-checked against a full scan.
 #include <gtest/gtest.h>
 
 #include "aws/simpledb/query_language.hpp"
+#include "aws/simpledb/simpledb.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -469,5 +471,105 @@ TEST_P(QueryLangFuzz, IndexedEvaluatorMatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueryLangFuzz,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
+
+// --- the service's itemName() seek and IN-list limit ---
+
+/// `select * from d where itemName() in ('a', ...)`, quotes doubled.
+std::string select_names(const std::vector<std::string>& names) {
+  std::string out = "select * from d where itemName() in (";
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    out += i > 0 ? ", '" : "'";
+    for (const char c : names[i]) out += c == '\'' ? "''" : std::string(1, c);
+    out += "'";
+  }
+  return out + ")";
+}
+
+TEST(SelectServiceTest, InListOfMoreThanTwentyValuesIsRejected) {
+  CloudEnv env(3, ConsistencyConfig::strong());
+  SimpleDbService sdb(env);
+  ASSERT_TRUE(sdb.create_domain("d").has_value());
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i <= kSdbMaxSelectComparisons; ++i)
+    names.push_back("i" + std::to_string(i));
+  const auto over = sdb.select(select_names(names));
+  ASSERT_FALSE(over.has_value());
+  EXPECT_EQ(over.error().code, AwsErrorCode::kInvalidQueryExpression);
+  EXPECT_FALSE(
+      parse_select("select * from d where color in ('0','1','2','3','4','5',"
+                   "'6','7','8','9','10','11','12','13','14','15','16','17',"
+                   "'18','19','20')")
+          .has_value());
+  names.pop_back();
+  EXPECT_TRUE(sdb.select(select_names(names)).has_value());
+}
+
+TEST(SelectServiceTest, BacktickQuotedDomain) {
+  CloudEnv env(3, ConsistencyConfig::strong());
+  SimpleDbService sdb(env);
+  ASSERT_TRUE(sdb.create_domain("prov-0").has_value());
+  ASSERT_TRUE(sdb.put_attributes("prov-0", "a:1", {{"k", "v", false}})
+                  .has_value());
+  const auto got =
+      sdb.select("select * from `prov-0` where itemName() in ('a:1', 'b:1')");
+  ASSERT_TRUE(got.has_value());
+  ASSERT_EQ(got->items.size(), 1u);
+  EXPECT_EQ(got->items[0].name, "a:1");
+}
+
+class ItemNameSeekFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(ItemNameSeekFuzz, SeekAnswersAsAFullScan) {
+  // The service seeks the names an `itemName() = / in (...)` lists; the
+  // reference is the same WHERE evaluated by scanning a mirror of the
+  // domain. Lists hold missing names, repeats and any order.
+  provcloud::util::Rng rng(GetParam());
+  CloudEnv env(static_cast<std::uint64_t>(GetParam()),
+               ConsistencyConfig::strong());
+  SimpleDbService sdb(env);
+  ASSERT_TRUE(sdb.create_domain("d").has_value());
+  SdbDomainData mirror;
+  const auto name_of = [&rng] {
+    // 0-39 may be stored; 40-47 never are. One name carries a quote.
+    const std::uint64_t i = rng.next_below(48);
+    return i == 7 ? std::string("it's") : "item" + std::to_string(i);
+  };
+  for (int i = 0; i < 60; ++i) {
+    const std::uint64_t k = rng.next_below(40);
+    const std::string name = k == 7 ? "it's" : "item" + std::to_string(k);
+    const std::vector<SdbReplaceableAttribute> put = {
+        {"a", std::to_string(rng.next_below(5)), false},
+        {"b", std::to_string(rng.next_below(5)), rng.next_bool(0.5)}};
+    ASSERT_TRUE(sdb.put_attributes("d", name, put).has_value());
+    mirror.apply_put(name, put);
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::string> names;
+    const std::size_t n = 1 + rng.next_below(kSdbMaxSelectComparisons);
+    for (std::size_t i = 0; i < n; ++i) names.push_back(name_of());
+    std::string expr = select_names(names);
+    if (n == 1 && rng.next_bool(0.5))
+      expr = "select * from d where itemName() = '" +
+             (names[0] == "it's" ? std::string("it''s") : names[0]) + "'";
+    if (rng.next_bool(0.25)) expr += " order by itemName() desc";
+    if (rng.next_bool(0.25)) expr += " limit 3";
+
+    const auto stmt = parse_select(expr);
+    ASSERT_TRUE(stmt.has_value()) << expr;
+    const std::vector<std::string> want = evaluate_select_order(*stmt, mirror);
+    const auto got = sdb.select(expr);
+    ASSERT_TRUE(got.has_value()) << expr;
+    const std::size_t rows = std::min(want.size(), stmt->limit);
+    ASSERT_EQ(got->items.size(), rows) << expr;
+    EXPECT_EQ(got->next_token.has_value(), want.size() > rows) << expr;
+    for (std::size_t i = 0; i < rows; ++i) {
+      EXPECT_EQ(got->items[i].name, want[i]) << expr;
+      EXPECT_EQ(got->items[i].attributes, mirror.items.at(want[i])) << expr;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ItemNameSeekFuzz,
+                         ::testing::Values(7, 2009));
 
 }  // namespace

@@ -223,6 +223,31 @@ TEST(WireDecoderTest, VersionAboveUint32IsRejectedNotTruncated) {
                    .has_value());
 }
 
+TEST(WireDecoderTest, WalNumbersAreWholeDecimalU32s) {
+  // A count, version or chunk index with a sign, a space, trailing bytes
+  // or a value above UINT32_MAX is corrupt, not a different number.
+  for (const char* bad : {"B;tx-1;4294967297", "B;tx-1;-1", "B;tx-1;7x",
+                          "B;tx-1; 7"})
+    EXPECT_FALSE(decode_wal_record(bad).has_value()) << bad;
+  ASSERT_TRUE(decode_wal_record("B;tx-1;7").has_value());
+  EXPECT_EQ(decode_wal_record("B;tx-1;7")->record_count, 7u);
+
+  WalRecord data;
+  data.kind = WalRecord::Kind::kData;
+  data.txid = "tx-1";
+  data.temp_key = ".tmp/q/tx-1";
+  data.object = "f";
+  data.version = 2;
+  data.nonce = "2";
+  data.pnode_kind = PnodeKind::kFile;
+  std::string body = encode_wal_record(data);
+  ASSERT_TRUE(decode_wal_record(body).has_value());
+  const std::size_t at = body.find(";2;");
+  ASSERT_NE(at, std::string::npos);
+  body.replace(at + 1, 1, "4294967298");  // 2^32 + 2
+  EXPECT_FALSE(decode_wal_record(body).has_value()) << body;
+}
+
 // --- the mutation sweep ---
 
 /// One decoder under test: decodes `bytes` and returns whether it accepted
