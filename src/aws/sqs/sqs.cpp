@@ -222,6 +222,27 @@ AwsResult<std::vector<SqsMessage>> SqsService::receive_message(
   return out;
 }
 
+std::optional<std::uint64_t> SqsService::erase_by_receipt(
+    Queue& q, const std::string& receipt_handle) {
+  const std::vector<std::string> parts = util::split(receipt_handle, ':');
+  if (parts.size() != 3) return std::nullopt;
+  std::size_t shard_idx = 0;
+  try {
+    shard_idx = std::stoul(parts[0]);
+  } catch (...) {
+    return std::nullopt;
+  }
+  if (shard_idx >= q.shards.size()) return std::nullopt;
+  auto& messages = q.shards[shard_idx].messages;
+  const std::optional<std::uint64_t> seq = parse_message_id(parts[1]);
+  const auto it = seq ? messages.find(*seq) : messages.end();
+  if (it == messages.end()) return 0;  // already gone: idempotent
+  const std::uint64_t bytes = it->second.body.size();
+  messages.erase(it);
+  q.queue_bytes -= bytes;
+  return bytes;
+}
+
 AwsResult<void> SqsService::delete_message(const std::string& url,
                                            const std::string& receipt_handle) {
   env_->charge(kService, "DeleteMessage", receipt_handle.size(), 0, url);
@@ -229,26 +250,44 @@ AwsResult<void> SqsService::delete_message(const std::string& url,
   if (q == nullptr) return aws_error(AwsErrorCode::kNoSuchQueue, url);
   std::lock_guard<std::mutex> lock(q->mu);
   if (q->erased) return aws_error(AwsErrorCode::kNoSuchQueue, url);
-  const std::vector<std::string> parts = util::split(receipt_handle, ':');
-  if (parts.size() != 3)
+  const std::optional<std::uint64_t> freed =
+      erase_by_receipt(*q, receipt_handle);
+  if (!freed)
     return aws_error(AwsErrorCode::kInvalidReceiptHandle, receipt_handle);
-  std::size_t shard_idx = 0;
-  try {
-    shard_idx = std::stoul(parts[0]);
-  } catch (...) {
-    return aws_error(AwsErrorCode::kInvalidReceiptHandle, receipt_handle);
-  }
-  if (shard_idx >= q->shards.size())
-    return aws_error(AwsErrorCode::kInvalidReceiptHandle, receipt_handle);
-  auto& messages = q->shards[shard_idx].messages;
-  const std::optional<std::uint64_t> seq = parse_message_id(parts[1]);
-  const auto it = seq ? messages.find(*seq) : messages.end();
-  if (it == messages.end()) return {};  // already gone: idempotent
-  const std::uint64_t bytes = it->second.body.size();
-  messages.erase(it);
-  q->queue_bytes -= bytes;
-  publish_gauge_delta(-static_cast<std::int64_t>(bytes));
+  if (*freed > 0) publish_gauge_delta(-static_cast<std::int64_t>(*freed));
   return {};
+}
+
+AwsResult<SqsDeleteBatchResult> SqsService::delete_message_batch(
+    const std::string& url, const std::vector<std::string>& receipt_handles) {
+  std::uint64_t bytes_in = 0;
+  for (const std::string& handle : receipt_handles) bytes_in += handle.size();
+  env_->charge(kService, "DeleteMessageBatch", bytes_in, 0, url);
+  if (receipt_handles.empty() || receipt_handles.size() > kSqsMaxDeleteBatch)
+    return aws_error(AwsErrorCode::kInvalidArgument,
+                     "DeleteMessageBatch takes 1..10 entries, got " +
+                         std::to_string(receipt_handles.size()));
+  std::shared_ptr<Queue> q = find_queue(url);
+  if (q == nullptr) return aws_error(AwsErrorCode::kNoSuchQueue, url);
+  std::lock_guard<std::mutex> lock(q->mu);
+  if (q->erased) return aws_error(AwsErrorCode::kNoSuchQueue, url);
+
+  SqsDeleteBatchResult result;
+  std::uint64_t freed_bytes = 0;
+  for (std::size_t i = 0; i < receipt_handles.size(); ++i) {
+    const std::optional<std::uint64_t> freed =
+        erase_by_receipt(*q, receipt_handles[i]);
+    if (!freed) {
+      result.failed.push_back(SqsBatchFailure{
+          i, AwsError{AwsErrorCode::kInvalidReceiptHandle,
+                      receipt_handles[i]}});
+      continue;
+    }
+    freed_bytes += *freed;
+  }
+  if (freed_bytes > 0)
+    publish_gauge_delta(-static_cast<std::int64_t>(freed_bytes));
+  return result;
 }
 
 AwsResult<std::uint64_t> SqsService::approximate_number_of_messages(

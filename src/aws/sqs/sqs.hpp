@@ -15,6 +15,11 @@
 //   * ApproximateNumberOfMessages is approximate (sampled);
 //   * best-effort ordering only.
 //
+// Two calls go beyond that snapshot: SendMessageBatch and DeleteMessageBatch
+// (10 entries per request, each entry failing on its own) arrived in 2011.
+// The WAL uses them to log a group's records and to delete a commit phase's
+// messages in fewer round trips.
+//
 // Simulator cost: a deleted message is erased at once, so send, receive,
 // delete and count touch only the messages still live on the queue, never
 // the queue's history.
@@ -41,6 +46,7 @@ namespace provcloud::aws {
 inline constexpr std::size_t kSqsMaxMessageBytes = 8 * util::kKiB;
 inline constexpr std::size_t kSqsMaxReceiveBatch = 10;
 inline constexpr std::size_t kSqsMaxSendBatch = 10;
+inline constexpr std::size_t kSqsMaxDeleteBatch = 10;
 inline constexpr sim::SimTime kSqsRetention = 4 * sim::kDay;
 inline constexpr sim::SimTime kSqsDefaultVisibilityTimeout =
     30 * sim::kSecond;
@@ -53,9 +59,9 @@ struct SqsMessage {
   util::Bytes body;
 };
 
-/// One entry's failure inside a SendMessageBatch call.
+/// One entry's failure inside a SendMessageBatch or DeleteMessageBatch call.
 struct SqsBatchFailure {
-  std::size_t index = 0;  // position in the submitted bodies
+  std::size_t index = 0;  // position in the submitted entries
   AwsError error;
 };
 
@@ -63,6 +69,13 @@ struct SqsBatchFailure {
 /// failed entry) plus the failures, mirroring SimpleDB's BatchPutResult.
 struct SqsSendBatchResult {
   std::vector<std::string> message_ids;
+  std::vector<SqsBatchFailure> failed;
+  bool ok() const { return failed.empty(); }
+};
+
+/// Outcome of DeleteMessageBatch: the entries that failed; every other
+/// entry's message is gone.
+struct SqsDeleteBatchResult {
   std::vector<SqsBatchFailure> failed;
   bool ok() const { return failed.empty(); }
 };
@@ -103,6 +116,13 @@ class SqsService {
   /// message succeeds (idempotent).
   AwsResult<void> delete_message(const std::string& url,
                                  const std::string& receipt_handle);
+
+  /// Delete up to 10 messages by receipt handle in one request. A malformed
+  /// handle fails its own entry while the rest are deleted -- the per-entry
+  /// contract of SendMessageBatch -- and an already-deleted message
+  /// succeeds. More than 10 entries (or none) fails the whole call.
+  AwsResult<SqsDeleteBatchResult> delete_message_batch(
+      const std::string& url, const std::vector<std::string>& receipt_handles);
 
   /// GetQueueAttributes:ApproximateNumberOfMessages -- sampled estimate.
   AwsResult<std::uint64_t> approximate_number_of_messages(
@@ -156,6 +176,11 @@ class SqsService {
   /// Caller holds q.mu. Stores one message on an RNG-drawn shard; returns
   /// its id.
   std::string enqueue(Queue& q, util::Bytes body);
+  /// Caller holds q.mu. Erases the message a receipt handle names and
+  /// returns the bytes it freed (0 when it is already gone); nullopt for a
+  /// handle this queue cannot have issued.
+  std::optional<std::uint64_t> erase_by_receipt(
+      Queue& q, const std::string& receipt_handle);
   /// Fold a live-bytes change into the service-wide gauge + meter.
   void publish_gauge_delta(std::int64_t delta);
 

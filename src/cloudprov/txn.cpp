@@ -1,7 +1,10 @@
 #include "cloudprov/txn.hpp"
 
+#include <charconv>
+
 #include "cloudprov/serialize.hpp"
 #include "cloudprov/wire_codec.hpp"
+#include "util/hex.hpp"
 #include "util/require.hpp"
 #include "util/string_utils.hpp"
 
@@ -135,6 +138,47 @@ std::optional<WalRecord> decode_wal_record(util::BytesView body) {
       return std::nullopt;
   }
   return r;
+}
+
+std::string make_txid(std::uint64_t incarnation, std::uint64_t n) {
+  return "tx-" + util::hex_u64(incarnation) + "-" + std::to_string(n);
+}
+
+std::optional<TxOrder> parse_txid(std::string_view txid) {
+  constexpr std::size_t kDigitsAt = 3;
+  constexpr std::size_t kNAt = kDigitsAt + 16 + 1;
+  if (txid.size() <= kNAt) return std::nullopt;
+  TxOrder order;
+  const char* digits = txid.data() + kDigitsAt;
+  const auto incarnation =
+      std::from_chars(digits, digits + 16, order.first, 16);
+  const auto n =
+      std::from_chars(txid.data() + kNAt, txid.data() + txid.size(),
+                      order.second);
+  if (incarnation.ec != std::errc() || n.ec != std::errc() ||
+      make_txid(order.first, order.second) != txid)
+    return std::nullopt;
+  return order;
+}
+
+bool WalTransaction::fold(const std::string& message_id,
+                          std::string receipt_handle, WalRecord record) {
+  auto [it, fresh] =
+      receipt_handles.try_emplace(message_id, std::move(receipt_handle));
+  if (!fresh) {
+    it->second = std::move(receipt_handle);
+    return false;
+  }
+  switch (record.kind) {
+    case WalRecord::Kind::kBegin: begin = std::move(record); break;
+    case WalRecord::Kind::kData: data = std::move(record); break;
+    case WalRecord::Kind::kProv:
+      prov_chunks.push_back(std::move(record));
+      break;
+    case WalRecord::Kind::kMd5: md5 = std::move(record); break;
+    case WalRecord::Kind::kCommit: committed = true; break;
+  }
+  return true;
 }
 
 bool WalTransaction::complete() const {

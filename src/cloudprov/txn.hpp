@@ -12,11 +12,19 @@
 // Fields are %-escaped so object names with ';' survive. Provenance records
 // inside a chunk are serialized with serialize_record and '|'-separated
 // (with '|' escaped inside fields as %7c by the chunk builder).
+//
+// A txid is "tx-<incarnation as 16 hex digits>-<n>": n counts the closes of
+// one WalBackend, and the incarnation, drawn once per WalBackend, keeps a
+// restarted client's tx-n apart from the transactions its dead predecessor
+// left in the same queue.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "pass/local_cache.hpp"
@@ -58,15 +66,31 @@ util::Bytes encode_wal_record(const WalRecord& record);
 /// Parse a message body; nullopt on malformed input.
 std::optional<WalRecord> decode_wal_record(util::BytesView body);
 
-/// A fully assembled transaction plus the receipt handles of its messages.
+/// (incarnation, n): the order the commit daemon applies transactions in.
+using TxOrder = std::pair<std::uint64_t, std::uint64_t>;
+
+/// "tx-<incarnation as 16 hex digits>-<n>".
+std::string make_txid(std::uint64_t incarnation, std::uint64_t n);
+
+/// Inverse of make_txid(); nullopt for anything it cannot have produced.
+std::optional<TxOrder> parse_txid(std::string_view txid);
+
+/// A transaction's log records as the commit daemon has received them so
+/// far, plus the receipt handle of each message.
 struct WalTransaction {
-  std::string txid;
   std::optional<WalRecord> begin;
   std::optional<WalRecord> data;
   std::vector<WalRecord> prov_chunks;
   std::optional<WalRecord> md5;
   bool committed = false;
-  std::vector<std::string> receipt_handles;
+  /// By SQS message id: the handle of the message's latest delivery.
+  std::map<std::string, std::string> receipt_handles;
+
+  /// Fold one received message in; returns whether it is new. A redelivered
+  /// message only refreshes its receipt handle: complete() counts prov
+  /// chunks, so one chunk must not count twice.
+  bool fold(const std::string& message_id, std::string receipt_handle,
+            WalRecord record);
 
   /// All log records present (count matches the begin record)?
   bool complete() const;

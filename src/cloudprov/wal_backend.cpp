@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <optional>
+#include <utility>
 
 #include "cloudprov/consistency_read.hpp"
 #include "cloudprov/serialize.hpp"
@@ -33,7 +35,9 @@ WalBackend::WalBackend(CloudServices& services, WalBackendConfig config)
       topology_(DomainTopology::make(
           TopologyConfig{.shard_count = config_.shard_count,
                          .parallelism = config_.parallelism,
-                         .ledger = &services.env->latency_ledger()})) {
+                         .ledger = &services.env->latency_ledger()})),
+      incarnation_(services.env->rng_below(
+          std::numeric_limits<std::uint64_t>::max())) {
   topology_->ensure_domains(services_->sdb);
   auto queue =
       services_->sqs.create_queue(config_.queue_name, kVisibilityTimeout);
@@ -63,7 +67,7 @@ void WalBackend::commit_group(const std::vector<TicketState*>& group,
   for (TicketState* ticket : group) {
     env.failures().crash_point("wal.store.begin");
     const pass::FlushUnit& unit = ticket->unit;
-    const std::string txid = "tx-" + std::to_string(next_txid_++);
+    const std::string txid = make_txid(incarnation_, next_txid_++);
     const std::string nonce = nonce_for_version(unit.version);
     LoggedTxn txn;
     txn.ticket = ticket;
@@ -72,8 +76,8 @@ void WalBackend::commit_group(const std::vector<TicketState*>& group,
     // skips the COPY (their provenance lives only in SimpleDB).
     // The temp name is namespaced by the client's queue: txids count per
     // client, so two clients closing concurrently would otherwise write the
-    // same ".tmp/tx-n" object and one commit daemon would promote the other
-    // client's data.
+    // same ".tmp/tx-..." object and one commit daemon would promote the
+    // other client's data.
     txn.has_data = unit.kind == pass::PnodeKind::kFile;
     if (txn.has_data)
       txn.temp_key = std::string(kTempPrefix) + config_.queue_name + "/" + txid;
@@ -176,15 +180,20 @@ void WalBackend::pump() {
   commit_phase(/*forced=*/false);
 }
 
-void WalBackend::commit_phase(bool forced) {
+WalBackend::PhaseOutcome WalBackend::commit_phase(bool forced) {
+  std::lock_guard<std::mutex> phase_lock(phase_mu_);
   aws::CloudEnv& env = *services_->env;
   obs::Span span(&env.tracer(), "wal.commit_phase", "wal");
   span.arg("forced", forced ? "true" : "false");
+  // Stored back only at the end: a crash inside the phase loses it.
+  DaemonMemory memory = std::exchange(memory_, DaemonMemory{});
   env.failures().crash_point("commitd.begin");
 
   // (a) receive as many messages as possible; SQS sampling means repeated
-  // calls are required to see everything.
-  std::map<std::string, WalTransaction> txns;
+  // calls are required to see everything. Each message folds into the
+  // transaction it belongs to, kept or new.
+  PhaseOutcome outcome;
+  const sim::SimTime now = env.clock().now();
   std::uint32_t quiet_rounds = 0;
   for (std::uint32_t round = 0; round < kReceiveRounds; ++round) {
     auto batch =
@@ -195,63 +204,63 @@ void WalBackend::commit_phase(bool forced) {
       continue;
     }
     quiet_rounds = 0;
-    for (const aws::SqsMessage& m : *batch) {
-      auto rec = decode_wal_record(m.body);
-      if (!rec) continue;  // corrupt message: leave for retention to reap
-      WalTransaction& txn = txns[rec->txid];
-      txn.txid = rec->txid;
-      txn.receipt_handles.push_back(m.receipt_handle);
-      switch (rec->kind) {
-        case WalRecord::Kind::kBegin: txn.begin = *rec; break;
-        case WalRecord::Kind::kData: txn.data = *rec; break;
-        case WalRecord::Kind::kProv: txn.prov_chunks.push_back(*rec); break;
-        case WalRecord::Kind::kMd5: txn.md5 = *rec; break;
-        case WalRecord::Kind::kCommit: txn.committed = true; break;
-      }
+    for (aws::SqsMessage& m : *batch) {
+      std::optional<WalRecord> rec = decode_wal_record(m.body);
+      const std::optional<TxOrder> order =
+          rec ? parse_txid(rec->txid) : std::nullopt;
+      if (!order) continue;  // corrupt message: leave for retention to reap
+      DaemonMemory::Kept& kept = memory.txns[*order];
+      kept.last_receive = now;
+      if (kept.txn.fold(m.message_id, std::move(m.receipt_handle),
+                        std::move(*rec)))
+        ++outcome.folded;
     }
   }
   env.failures().crash_point("commitd.after_receive");
 
-  // Process complete transactions in txid order (single client: monotonic),
-  // so replayed old transactions cannot clobber newer data.
-  std::vector<const WalTransaction*> ready;
-  for (const auto& [txid, txn] : txns)
-    if (txn.complete()) ready.push_back(&txn);
-  std::sort(ready.begin(), ready.end(),
-            [](const WalTransaction* a, const WalTransaction* b) {
-              // txids are "tx-<n>": compare numerically.
-              const auto num = [](const std::string& t) {
-                return std::stoull(t.substr(3));
-              };
-              return num(a->txid) < num(b->txid);
-            });
+  // Process complete transactions in (incarnation, n) order -- the map's --
+  // so replayed old transactions of one client cannot clobber newer data.
   // The batched pipeline: promote every transaction's data first, coalesce
   // all their SimpleDB writes into per-shard batch calls, then delete log
   // messages and temp objects only for transactions whose writes landed.
   // Every step stays idempotent, so a crash between phases replays safely.
-  span.arg("txns_seen", static_cast<std::uint64_t>(txns.size()));
-  span.arg("ready", static_cast<std::uint64_t>(ready.size()));
-  env.metrics().histogram("wal.ready_txns").record(ready.size());
   std::vector<StagedTxn> staged;
-  staged.reserve(ready.size());
-  for (const WalTransaction* txn : ready) {
-    auto prepared = prepare_transaction(*txn);
-    if (prepared) staged.push_back(std::move(*prepared));
+  std::size_t ready = 0;
+  for (const auto& [order, kept] : memory.txns) {
+    if (!kept.txn.complete()) continue;
+    ++ready;
+    auto prepared = prepare_transaction(kept.txn, memory.promoted);
+    if (!prepared) continue;
+    prepared->order = order;
+    staged.push_back(std::move(*prepared));
   }
+  span.arg("folded", static_cast<std::uint64_t>(outcome.folded));
+  span.arg("ready", static_cast<std::uint64_t>(ready));
+  env.metrics().histogram("wal.ready_txns").record(ready);
   flush_staged(staged);
   env.failures().crash_point("commitd.after_sdb");
-  for (const StagedTxn& s : staged) {
-    finish_transaction(s);
-    ++committed_count_;
-  }
-  // Transactions that were incomplete (commit record not yet visible, or
-  // sampling missed pieces) keep their messages; the visibility timeout
-  // re-exposes them for the next pump. Uncommitted transactions eventually
-  // vanish via the 4-day retention.
+  finish_staged(staged);
+
+  // Applied transactions leave the memory. One whose messages all went
+  // unreceived for a visibility timeout is dropped too: they are visible
+  // again, and a later receive folds them in afresh.
+  for (const StagedTxn& s : staged) memory.txns.erase(s.order);
+  std::erase_if(memory.txns, [now](const auto& entry) {
+    return now - entry.second.last_receive >= kVisibilityTimeout;
+  });
+  std::erase_if(memory.promoted, [now](const auto& entry) {
+    return now - entry.second.at >= kVisibilityTimeout;
+  });
+  outcome.applied = staged.size();
+  outcome.unapplied = ready - staged.size();
+  outcome.kept = memory.txns.size();
+  memory_ = std::move(memory);
+  return outcome;
 }
 
 std::optional<WalBackend::StagedTxn> WalBackend::prepare_transaction(
-    const WalTransaction& txn) {
+    const WalTransaction& txn,
+    std::map<std::string, DaemonMemory::Promoted>& promoted) {
   aws::CloudEnv& env = *services_->env;
   PROVCLOUD_REQUIRE(txn.data && txn.md5 && txn.begin);
   const WalRecord& data = *txn.data;
@@ -263,12 +272,16 @@ std::optional<WalBackend::StagedTxn> WalBackend::prepare_transaction(
 
   // Ordering guard: a transaction can be delayed past a *newer* version of
   // the same object (its messages hidden by a visibility timeout while a
-  // later pump committed the successor). Its COPY must then be suppressed
+  // later phase committed the successor). Its COPY must then be suppressed
   // or it would clobber newer data; its provenance item is still valid and
   // still stored below. An equal stored version is not newer: a re-store
   // of the same version must copy, or S3 would keep the earlier submit's
-  // data under this transaction's MD5.
-  bool superseded = false;
+  // data under this transaction's MD5. The daemon's own memory answers
+  // first: a kept transaction can complete at the very clock instant its
+  // successor was promoted, before any replica the HEADs sample has it.
+  const auto memo = promoted.find(data.object);
+  bool superseded = has_data && memo != promoted.end() &&
+                    memo->second.version > data.version;
   for (int attempt = 0; has_data && attempt < 4 && !superseded; ++attempt) {
     auto head = services_->s3.head(kDataBucket, data.object);
     if (!head) continue;
@@ -291,6 +304,7 @@ std::optional<WalBackend::StagedTxn> WalBackend::prepare_transaction(
                                    meta);
     if (copy) {
       copied = true;
+      promoted[data.object] = {data.version, env.clock().now()};
       break;
     }
   }
@@ -380,24 +394,39 @@ void WalBackend::flush_staged(std::vector<StagedTxn>& staged) {
   topology_->run_tasks(std::move(tasks));
 }
 
-void WalBackend::finish_transaction(const StagedTxn& staged) {
+void WalBackend::finish_staged(const std::vector<StagedTxn>& staged) {
   aws::CloudEnv& env = *services_->env;
-  const WalTransaction& txn = *staged.txn;
-  // (d) delete the WAL messages first, then the temp object: a crash in
-  // between leaks only a temp object (the cleaner reaps it); the reverse
+  // (d) delete the WAL messages first, then the temp objects: a crash in
+  // between leaks only temp objects (the cleaner reaps them); the reverse
   // order would strand undeletable log records that replay against a
   // missing temp.
-  for (const std::string& handle : txn.receipt_handles) {
-    auto del = services_->sqs.delete_message(queue_url_, handle);
-    PROVCLOUD_REQUIRE(del.has_value());
+  std::vector<std::string> handles;
+  for (const StagedTxn& s : staged)
+    for (const auto& [message_id, handle] : s.txn->receipt_handles)
+      handles.push_back(handle);
+  for (std::size_t start = 0; start < handles.size();
+       start += aws::kSqsMaxDeleteBatch) {
+    const std::size_t end =
+        std::min(start + aws::kSqsMaxDeleteBatch, handles.size());
+    const std::vector<std::string> batch(
+        handles.begin() + static_cast<std::ptrdiff_t>(start),
+        handles.begin() + static_cast<std::ptrdiff_t>(end));
+    auto del = services_->sqs.delete_message_batch(queue_url_, batch);
+    PROVCLOUD_REQUIRE_MSG(del.has_value(),
+                          "WAL batch delete failed: " + del.error().message);
+    PROVCLOUD_REQUIRE_MSG(del->ok(), "WAL batch delete rejected entry: " +
+                                         del->failed.front().error.message);
     env.failures().crash_point("commitd.mid_message_delete");
   }
-  env.failures().crash_point("commitd.before_temp_delete");
-  if (staged.has_data) {
-    auto del_temp = services_->s3.del(kDataBucket, txn.data->temp_key);
-    PROVCLOUD_REQUIRE(del_temp.has_value());
+  for (const StagedTxn& s : staged) {
+    env.failures().crash_point("commitd.before_temp_delete");
+    if (s.has_data) {
+      auto del_temp = services_->s3.del(kDataBucket, s.txn->data->temp_key);
+      PROVCLOUD_REQUIRE(del_temp.has_value());
+    }
+    env.failures().crash_point("commitd.after_txn");
+    ++committed_count_;
   }
-  env.failures().crash_point("commitd.after_txn");
 }
 
 void WalBackend::recover() {
@@ -408,15 +437,25 @@ void WalBackend::recover() {
 void WalBackend::do_quiesce() {
   aws::CloudEnv& env = *services_->env;
   obs::Span span(&env.tracer(), "wal.quiesce", "wal");
-  std::uint64_t rounds = 0;
-  for (int i = 0; i < 64; ++i) {
-    commit_phase(/*forced=*/true);
+  std::uint64_t phases = 0;
+  std::uint64_t waits = 0;
+  bool waited = false;
+  PhaseOutcome last;
+  for (;;) {
+    last = commit_phase(/*forced=*/true);
+    ++phases;
     if (services_->sqs.exact_message_count(queue_url_) == 0) break;
-    // In-flight (invisible) messages need the visibility timeout to lapse;
-    // propagation needs the consistency window. The client is parked while
-    // that virtual time passes, so the wait lands on its ledger timeline as
-    // "idle" -- leaving it uncharged flattered Arch 3's elapsed numbers
-    // (the daemon's wakeup cadence looked free).
+    if (last.progressed()) {
+      waited = false;
+      continue;
+    }
+    if (waited) break;
+    // What is left is in flight (invisible) or not yet propagated: the
+    // visibility timeout must lapse, and propagation needs the consistency
+    // window. The client is parked while that virtual time passes, so the
+    // wait lands on its ledger timeline as "idle" -- leaving it uncharged
+    // flattered Arch 3's elapsed numbers (the daemon's wakeup cadence
+    // looked free).
     const sim::SimTime visibility = kVisibilityTimeout;
     const sim::SimTime wakeup =
         env.consistency().propagation_max + sim::kSecond;
@@ -424,9 +463,20 @@ void WalBackend::do_quiesce() {
     env.metrics().counter("idle.visibility_wait_us").add(visibility);
     env.metrics().counter("idle.daemon_wakeup_us").add(wakeup);
     env.clock().advance_by(visibility + wakeup);
-    ++rounds;
+    waited = true;
+    ++waits;
   }
-  span.arg("wait_rounds", rounds);
+  span.arg("phases", phases);
+  span.arg("wait_rounds", waits);
+  PROVCLOUD_REQUIRE_MSG(
+      last.unapplied == 0,
+      "WAL quiesce stalled after " + std::to_string(phases) + " phases and " +
+          std::to_string(waits) + " waits: " +
+          std::to_string(last.unapplied) +
+          " complete committed transactions unapplied, " +
+          std::to_string(last.kept) + " kept, " +
+          std::to_string(services_->sqs.exact_message_count(queue_url_)) +
+          " messages queued");
 }
 
 void WalBackend::clean_temp_objects() {

@@ -254,4 +254,48 @@ TEST(SessionConcurrentTest, MaintenanceActorJoinsAfterManyFlushers) {
   }
 }
 
+TEST(SessionConcurrentTest, WalCommitPhasesRunOneAtATime) {
+  // The commit daemon's kept state is written by every phase: pump() on
+  // whichever thread flushes, and recover() -- a forced phase, as quiesce()
+  // runs -- on a thread of its own here, racing them.
+  aws::CloudEnv env(94, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  WalBackendConfig cfg;
+  cfg.commit_threshold = 4;
+  WalBackend backend(services, cfg);
+  const auto object = [](int tid, int c) {
+    return "p/t" + std::to_string(tid) + "/f" + std::to_string(c);
+  };
+  auto worker = [&backend, &object](int tid) {
+    auto session = backend.open_session(SessionConfig{
+        .client_id = "client-" + std::to_string(tid), .max_group = 2});
+    for (int c = 0; c < kClosesPerSession; ++c)
+      session->submit(file_unit(object(tid, c), 1, "x"));
+    EXPECT_TRUE(session->sync().has_value());
+  };
+  std::atomic<bool> workers_done{false};
+  std::thread restarter([&] {
+    while (!workers_done.load()) {
+      backend.recover();
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> threads;
+  for (int tid = 0; tid < kThreads; ++tid) threads.emplace_back(worker, tid);
+  for (std::thread& t : threads) t.join();
+  workers_done.store(true);
+  restarter.join();
+
+  backend.quiesce();
+  EXPECT_EQ(backend.committed_count(),
+            static_cast<std::uint64_t>(kThreads * kClosesPerSession));
+  EXPECT_EQ(services.sqs.exact_message_count("sqs://queue/wal-client-0"), 0u);
+  for (int tid = 0; tid < kThreads; ++tid)
+    for (int c = 0; c < kClosesPerSession; ++c) {
+      const auto got = backend.read(object(tid, c));
+      ASSERT_TRUE(got.has_value()) << object(tid, c);
+      EXPECT_TRUE(got->verified) << object(tid, c);
+    }
+}
+
 }  // namespace

@@ -279,6 +279,87 @@ TEST_F(SqsTest, StorageGaugeTracksBodies) {
   EXPECT_TRUE(sqs_.stored_bytes() == 100u || sqs_.stored_bytes() == 50u);
 }
 
+// --- DeleteMessageBatch ---
+
+/// Sends `n` messages and receives them all; returns their receipt handles.
+std::vector<std::string> received_handles(SqsService& sqs,
+                                          const std::string& url, int n) {
+  for (int i = 0; i < n; ++i)
+    EXPECT_TRUE(sqs.send_message(url, "m" + std::to_string(i)).has_value());
+  std::vector<std::string> handles;
+  while (handles.size() < static_cast<std::size_t>(n)) {
+    auto got = sqs.receive_message(url, 10);
+    EXPECT_TRUE(got.has_value() && !got->empty());
+    if (!got.has_value() || got->empty()) break;
+    for (const auto& m : *got) handles.push_back(m.receipt_handle);
+  }
+  return handles;
+}
+
+TEST_F(SqsTest, DeleteBatchTakesOneToTenEntries) {
+  const std::vector<std::string> handles = received_handles(sqs_, url_, 11);
+  ASSERT_EQ(handles.size(), 11u);
+  for (const std::vector<std::string>& bad :
+       {std::vector<std::string>{}, handles}) {
+    auto del = sqs_.delete_message_batch(url_, bad);
+    ASSERT_FALSE(del.has_value()) << bad.size();
+    EXPECT_EQ(del.error().code, AwsErrorCode::kInvalidArgument);
+  }
+  EXPECT_EQ(sqs_.exact_message_count(url_), 11u);  // a failed call deletes none
+
+  auto ten = sqs_.delete_message_batch(
+      url_, std::vector<std::string>(handles.begin(), handles.begin() + 10));
+  ASSERT_TRUE(ten.has_value());
+  EXPECT_TRUE(ten->ok());
+  auto one = sqs_.delete_message_batch(url_, {handles.back()});
+  ASSERT_TRUE(one.has_value());
+  EXPECT_TRUE(one->ok());
+  EXPECT_EQ(sqs_.exact_message_count(url_), 0u);
+  EXPECT_EQ(sqs_.stored_bytes(), 0u);
+}
+
+TEST_F(SqsTest, DeleteBatchMalformedHandleFailsOnlyItsEntry) {
+  const std::vector<std::string> handles = received_handles(sqs_, url_, 2);
+  ASSERT_EQ(handles.size(), 2u);
+  auto del = sqs_.delete_message_batch(
+      url_, {handles[0], "not-a-handle", "99:msg-1:1", handles[1]});
+  ASSERT_TRUE(del.has_value());
+  ASSERT_EQ(del->failed.size(), 2u);
+  EXPECT_EQ(del->failed[0].index, 1u);
+  EXPECT_EQ(del->failed[0].error.code, AwsErrorCode::kInvalidReceiptHandle);
+  EXPECT_EQ(del->failed[1].index, 2u);
+  EXPECT_EQ(del->failed[1].error.code, AwsErrorCode::kInvalidReceiptHandle);
+  EXPECT_EQ(sqs_.exact_message_count(url_), 0u);  // the good entries landed
+}
+
+TEST_F(SqsTest, DeleteBatchOfDeletedMessagesSucceeds) {
+  const std::vector<std::string> handles = received_handles(sqs_, url_, 3);
+  ASSERT_EQ(handles.size(), 3u);
+  ASSERT_TRUE(sqs_.delete_message(url_, handles[0]).has_value());
+  auto first = sqs_.delete_message_batch(url_, handles);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(first->ok());
+  auto again = sqs_.delete_message_batch(url_, handles);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_TRUE(again->ok());
+  EXPECT_EQ(sqs_.exact_message_count(url_), 0u);
+}
+
+TEST_F(SqsTest, DeleteBatchBilledAsOneRequest) {
+  const std::vector<std::string> handles = received_handles(sqs_, url_, 7);
+  ASSERT_EQ(handles.size(), 7u);
+  std::uint64_t handle_bytes = 0;
+  for (const std::string& h : handles) handle_bytes += h.size();
+  const auto before = env_.meter().snapshot();
+  ASSERT_TRUE(sqs_.delete_message_batch(url_, handles).has_value());
+  ASSERT_FALSE(sqs_.delete_message_batch(url_, {}).has_value());
+  const auto diff = env_.meter().snapshot().diff(before);
+  EXPECT_EQ(diff.calls("sqs", "DeleteMessageBatch"), 2u);  // a refused call too
+  EXPECT_EQ(diff.calls("sqs", "DeleteMessage"), 0u);
+  EXPECT_EQ(diff.calls("sqs"), 2u);
+  EXPECT_EQ(diff.bytes_in("sqs", "DeleteMessageBatch"), handle_bytes);
+}
+
 // --- sampling (eventual consistency) ---
 
 class SqsSamplingTest : public ::testing::Test {

@@ -168,7 +168,6 @@ TEST(WalTransactionTest, CompletenessRules) {
   const auto records = build_transaction("tx-1", unit, ".tmp/t", "1", "m");
 
   WalTransaction txn;
-  txn.txid = "tx-1";
   EXPECT_FALSE(txn.complete());
   for (const auto& r : records) {
     switch (r.kind) {
@@ -190,6 +189,49 @@ TEST(WalTransactionTest, CompletenessRules) {
   WalTransaction uncommitted = txn;
   uncommitted.committed = false;
   EXPECT_FALSE(uncommitted.complete());
+}
+
+TEST(WalTransactionTest, RedeliveredMessageFoldsOnce) {
+  const FlushUnit unit = sample_unit(40, 400);  // several prov chunks
+  const auto records = build_transaction("tx-1", unit, ".tmp/t", "1", "m");
+  ASSERT_GT(records.size(), 5u);
+
+  WalTransaction txn;
+  for (std::size_t i = 0; i + 1 < records.size(); ++i)
+    EXPECT_TRUE(txn.fold("msg-" + std::to_string(i), "h1", records[i]));
+  // A redelivery of every folded message: new handles, nothing counted twice.
+  for (std::size_t i = 0; i + 1 < records.size(); ++i)
+    EXPECT_FALSE(txn.fold("msg-" + std::to_string(i), "h2", records[i]));
+  EXPECT_FALSE(txn.complete());
+  EXPECT_TRUE(txn.fold("msg-commit", "h1", records.back()));
+  EXPECT_TRUE(txn.complete());
+  EXPECT_EQ(txn.prov_chunks.size(), records.size() - 4);
+  ASSERT_EQ(txn.receipt_handles.size(), records.size());
+  EXPECT_EQ(txn.receipt_handles.at("msg-0"), "h2");
+  EXPECT_EQ(txn.receipt_handles.at("msg-commit"), "h1");
+}
+
+TEST(TxidTest, FixedWidthIncarnationAndCount) {
+  EXPECT_EQ(make_txid(0, 1), "tx-0000000000000000-1");
+  EXPECT_EQ(make_txid(0xdeadbeef, 42), "tx-00000000deadbeef-42");
+  EXPECT_EQ(make_txid(~0ull, 7).size(), make_txid(0, 7).size());
+  for (const TxOrder& order :
+       {TxOrder{0, 1}, TxOrder{0xdeadbeef, 42}, TxOrder{~0ull, ~0ull}})
+    EXPECT_EQ(parse_txid(make_txid(order.first, order.second)), order);
+  // Order is (incarnation, n): n compares as a number, not as text.
+  EXPECT_LT(*parse_txid(make_txid(5, 9)), *parse_txid(make_txid(5, 10)));
+  EXPECT_LT(*parse_txid(make_txid(4, 10)), *parse_txid(make_txid(5, 9)));
+}
+
+TEST(TxidTest, RejectsWhatMakeTxidCannotProduce) {
+  for (const char* bad :
+       {"", "tx-1", "tx-42", "tx-00000000deadbeef", "tx-00000000deadbeef-",
+        "tx-00000000DEADBEEF-1", "tx-00000000deadbeef-01",
+        "tx-00000000deadbeef-+1", "tx-00000000deadbeef--1",
+        "tx-00000000deadbeef-1x", "tx-0000000deadbeef-12",
+        "tx-00000000deadbeef_1", "xx-00000000deadbeef-1",
+        "tx-00000000deadbeef-18446744073709551616"})
+    EXPECT_FALSE(parse_txid(bad).has_value()) << bad;
 }
 
 }  // namespace
