@@ -1,11 +1,17 @@
 // ProvenanceBackend: the public interface of the paper's contribution.
 //
-// A backend implements one of the three architectures from section 4. It
-// receives FlushUnits from PASS at file close (store), serves the read-
-// correctness read path (read), retrieves provenance (get_provenance),
-// recovers after client crashes (recover), and -- for backends with
-// background work (Arch 3's WAL drain, Arch 4's index publication and
-// cleaner) -- exposes pump()/quiesce() to drive it deterministically.
+// A backend implements one of the three architectures from section 4 (or
+// Arch 4's segment log). It receives FlushUnits from PASS at file close
+// (store), serves the read-correctness read path (read), retrieves
+// provenance (get_provenance), recovers after client crashes (recover), and
+// -- for backends with background work (Arch 3's WAL drain, Arch 4's index
+// publication and cleaner) -- exposes pump()/quiesce() to drive it
+// deterministically.
+//
+// A backend is a CloudServices, a DomainTopology and a commit_group: the
+// base owns the first two, and sessions, the commit daemon and read_many
+// run on the services' env and the topology. A backend implements only the
+// protocol itself.
 #pragma once
 
 #include <cstdint>
@@ -118,6 +124,7 @@ class Session;
 struct TicketState;
 class CommitDaemon;
 class DomainTopology;
+struct TopologyConfig;
 
 /// Per-client session knobs (see ProvenanceBackend::open_session): the
 /// group size and flush deadline, which together say how a session's closes
@@ -168,10 +175,8 @@ class ProvenanceBackend {
   /// coalesce submitted closes into one group commit. Each session is
   /// driven from one thread, but a backend accepts many concurrent
   /// sessions: their submits feed one MPSC queue drained by a single
-  /// commit daemon (see Session for the full contract).
-  /// (Non-virtual so the default argument exists exactly once; backends
-  /// override do_open_session. Defined in session.cpp, where Session is
-  /// complete.)
+  /// commit daemon (see Session for the full contract). Defined in
+  /// session.cpp, where Session is complete.
   std::unique_ptr<Session> open_session(
       SessionConfig config = SessionConfig{});
 
@@ -182,19 +187,19 @@ class ProvenanceBackend {
 
   /// The group-commit primitive behind Session and store(): persist every
   /// unit of `group` (in submit order where ordering matters), marking
-  /// each ticket done as its close becomes durable. `ledger` (may be null)
-  /// receives each ticket's exclusive service time on the ticket's own
-  /// timeline so the commit daemon can merge in-flight tickets by critical
-  /// path. The only close-path entry point a backend implements.
-  virtual void commit_group(const std::vector<TicketState*>& group,
-                            sim::LatencyLedger* ledger) = 0;
+  /// each ticket done as its close becomes durable. Service time exclusive
+  /// to one close is charged to the ticket's own timeline (bound on the
+  /// env's ledger) so the commit daemon can merge in-flight tickets by
+  /// critical path. The only close-path entry point a backend implements.
+  virtual void commit_group(const std::vector<TicketState*>& group) = 0;
 
-  /// The backend's shard/parallelism layout, when it has one (Arch 2/3 and
-  /// any backend that overlaps multi-object reads). The base read_many
-  /// routes through it; null means sequential.
-  virtual std::shared_ptr<const DomainTopology> topology() const {
-    return nullptr;
-  }
+  /// The services the backend runs against; sessions and the commit daemon
+  /// take their ledger, clock, tracer and metrics from its env.
+  CloudServices& services() const { return *services_; }
+
+  /// The backend's shard/parallelism layout. read_many routes through it;
+  /// query engines share it so the layout cannot drift.
+  std::shared_ptr<const DomainTopology> topology() const { return topology_; }
 
   /// The read path a scientist uses: fetch the latest data of `object`
   /// together with its provenance, enforcing whatever consistency the
@@ -204,12 +209,10 @@ class ProvenanceBackend {
                                          std::uint32_t max_retries = 64) = 0;
 
   /// Multi-object read path: one read() per object, results in input
-  /// order. The default routes through topology()->run_tasks so every
-  /// backend with a parallel topology overlaps the per-object consistency
-  /// rounds (null topology or parallelism 1: a sequential loop, charges in
-  /// issue order). Defined in session.cpp, where DomainTopology is
-  /// complete.
-  virtual std::vector<BackendResult<ReadResult>> read_many(
+  /// order, routed through topology()->run_tasks so a parallel topology
+  /// overlaps the per-object consistency rounds (parallelism 1: a
+  /// sequential loop, charges in issue order).
+  std::vector<BackendResult<ReadResult>> read_many(
       const std::vector<std::string>& objects, std::uint32_t max_retries = 64);
 
   /// Retrieve the provenance of one (object, version), resolving spilled
@@ -254,19 +257,21 @@ class ProvenanceBackend {
   };
   virtual PropertyClaims claims() const = 0;
 
-  /// The backend's commit daemon, created lazily on first use (the first
-  /// caller's ledger/clock/tracer/metrics win; all sessions of one backend
-  /// share one env, so they agree). Every session's submits funnel through
-  /// it -- one MPSC queue, one flusher at a time. Defined in session.cpp.
-  std::shared_ptr<CommitDaemon> commit_daemon(
-      sim::LatencyLedger* ledger, sim::SimClock* clock,
-      obs::Tracer* tracer = nullptr, obs::MetricsRegistry* metrics = nullptr);
+  /// The backend's commit daemon, created lazily on first use. Every
+  /// session's submits funnel through it -- one MPSC queue, one flusher at
+  /// a time. Defined in session.cpp.
+  std::shared_ptr<CommitDaemon> commit_daemon();
 
  protected:
-  /// open_session's virtual hook.
-  virtual std::unique_ptr<Session> do_open_session(SessionConfig config) = 0;
+  /// Builds the backend's topology from `topology`, its ledger set to the
+  /// env's so parallel fan-outs merge their branches by critical path.
+  ProvenanceBackend(CloudServices& services, TopologyConfig topology);
+
   /// quiesce()'s virtual hook: drain the backend's deferred work.
   virtual void do_quiesce() {}
+
+  CloudServices* const services_;
+  const std::shared_ptr<const DomainTopology> topology_;
 
  private:
   std::mutex daemon_mu_;

@@ -5,6 +5,7 @@
 #include "cloudprov/consistency_read.hpp"
 #include "cloudprov/manifest/ancestor_cache.hpp"
 #include "cloudprov/serialize.hpp"
+#include "cloudprov/wire_codec.hpp"
 #include "util/require.hpp"
 #include "util/string_utils.hpp"
 
@@ -99,10 +100,7 @@ std::vector<std::string> ProvenanceCache::hint_candidates(
   bool from_cache = false;
   if (ancestor_cache_ != nullptr) {
     std::uint32_t version = 0;
-    try {
-      version = static_cast<std::uint32_t>(std::stoul(version_it->second));
-    } catch (...) {
-    }
+    wire::parse_u32(version_it->second, version);
     // An ancestry walk may already hold this fragment: mine it instead of
     // re-reading the item from SimpleDB (cached records are fully resolved,
     // so no spill-marker filtering is needed).

@@ -74,9 +74,9 @@ class ProvenanceCache {
   /// Single-domain layout (the paper's): topology defaults to one domain.
   ProvenanceCache(CloudServices& services, PrefetchConfig config);
   /// Sharded layout: pass the storing backend's topology
-  /// (SdbBackend::topology(), WalBackend::topology()) so hint queries hit
-  /// the object's shard domain directly and sibling/descendant sweeps
-  /// scatter across every shard instead of missing non-shard-0 objects.
+  /// (ProvenanceBackend::topology()) so hint queries hit the object's shard
+  /// domain directly and sibling/descendant sweeps scatter across every
+  /// shard instead of missing non-shard-0 objects.
   ProvenanceCache(CloudServices& services, PrefetchConfig config,
                   std::shared_ptr<const DomainTopology> topology);
 

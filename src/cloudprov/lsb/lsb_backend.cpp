@@ -5,6 +5,7 @@
 
 #include "cloudprov/consistency_read.hpp"
 #include "cloudprov/session.hpp"
+#include "cloudprov/wire_codec.hpp"
 #include "util/require.hpp"
 
 namespace provcloud::cloudprov {
@@ -59,29 +60,25 @@ std::optional<BackendResult<lsb::EntryRecords>> slice_entry(
 std::uint64_t parse_meta(const aws::SdbItem& item, const char* attr,
                          std::uint64_t fallback) {
   auto it = item.find(attr);
-  if (it == item.end() || it->second.empty()) return fallback;
-  try {
-    return std::stoull(*it->second.begin());
-  } catch (...) {
-    return fallback;
-  }
+  if (it != item.end() && !it->second.empty())
+    wire::parse_u64(*it->second.begin(), fallback);
+  return fallback;
 }
 
 }  // namespace
 
 LsbBackend::LsbBackend(CloudServices& services, LsbBackendConfig config)
-    : services_(&services), config_(config) {
+    : ProvenanceBackend(services,
+                        TopologyConfig{.shard_count = config.shard_count,
+                                       .base_domain = lsb::kIndexDomainBase,
+                                       .parallelism = config.parallelism}),
+      config_(config) {
   config_.segment_cap_bytes = std::max<std::size_t>(config_.segment_cap_bytes,
                                                     util::kKiB);
   config_.index_publish_entries =
       std::max<std::size_t>(config_.index_publish_entries, 1);
   config_.compact_max_segments =
       std::max<std::size_t>(config_.compact_max_segments, 1);
-  topology_ = DomainTopology::make(
-      TopologyConfig{.shard_count = config_.shard_count,
-                     .base_domain = lsb::kIndexDomainBase,
-                     .parallelism = config_.parallelism,
-                     .ledger = &services.env->latency_ledger()});
   topology_->ensure_domains(services_->sdb);
 
   obs::MetricsRegistry& metrics = services_->env->metrics();
@@ -96,19 +93,11 @@ LsbBackend::LsbBackend(CloudServices& services, LsbBackendConfig config)
   seal_entries_ = &metrics.histogram("lsb.seal.closes");
 }
 
-std::unique_ptr<Session> LsbBackend::do_open_session(SessionConfig config) {
-  return std::make_unique<Session>(
-      *this, std::move(config), &services_->env->latency_ledger(),
-      &services_->env->clock(), &services_->env->tracer(),
-      &services_->env->metrics());
-}
-
 // ---------------------------------------------------------------------------
 // Write path: seal the group as immutable segments
 // ---------------------------------------------------------------------------
 
-void LsbBackend::commit_group(const std::vector<TicketState*>& group,
-                              sim::LatencyLedger* /*ledger*/) {
+void LsbBackend::commit_group(const std::vector<TicketState*>& group) {
   // The segment PUTs are shared by the group: they stay on the daemon's
   // group timeline, so the amortized cost lands on every rider,
   // critical-path-merged at retire. Index publication and cleaning are not

@@ -94,14 +94,12 @@ class LsbBackend final : public ProvenanceBackend {
   }
   std::string name() const override { return "S3-segments+SimpleDB"; }
 
-  std::unique_ptr<Session> do_open_session(SessionConfig config) override;
   bool supports_group_commit() const override { return true; }
 
   /// Seal the group into segment objects (one PUT per cap-sized run; each
   /// ticket is done once its segment is durable) and buffer the postings
   /// for pump() to publish.
-  void commit_group(const std::vector<TicketState*>& group,
-                    sim::LatencyLedger* ledger) override;
+  void commit_group(const std::vector<TicketState*>& group) override;
 
   /// Latest data + provenance of `object`: a byte-range GET of its records
   /// part, then one of its data (skipped when it has none). Segments are
@@ -140,9 +138,6 @@ class LsbBackend final : public ProvenanceBackend {
                           .efficient_query = false};
   }
 
-  std::shared_ptr<const DomainTopology> topology() const override {
-    return topology_;
-  }
   const LsbBackendConfig& config() const { return config_; }
 
   /// Force an index publication now (bench/test hook).
@@ -244,9 +239,7 @@ class LsbBackend final : public ProvenanceBackend {
   /// auto_clean, and a pass would free at least segment_cap_bytes.
   bool clean_due() const;
 
-  CloudServices* services_;
   LsbBackendConfig config_;
-  std::shared_ptr<const DomainTopology> topology_;
 
   /// Guards every in-memory structure below. Cloud calls happen outside.
   mutable std::mutex mu_;

@@ -2,6 +2,7 @@
 
 #include "cloudprov/consistency_read.hpp"
 #include "cloudprov/manifest/format.hpp"
+#include "cloudprov/wire_codec.hpp"
 #include "util/require.hpp"
 
 namespace provcloud::cloudprov::manifest {
@@ -15,16 +16,6 @@ constexpr const char* kEntriesAttr = "entries";
 
 std::string history_item(std::uint64_t snapshot_id) {
   return "snap-" + std::to_string(snapshot_id);
-}
-
-std::optional<std::uint64_t> parse_u64(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return std::nullopt;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return v;
 }
 
 std::optional<std::string> single_value(const aws::SdbItem& attrs,
@@ -57,10 +48,11 @@ std::optional<CatalogPointer> Catalog::read_row(const std::string& item,
       const auto list_key = single_value(*got, kListKeyAttr);
       const auto entries = single_value(*got, kEntriesAttr);
       if (!id || !list_key || !entries) return std::nullopt;
-      const auto id_v = parse_u64(*id);
-      const auto entries_v = parse_u64(*entries);
-      if (!id_v || !entries_v) return std::nullopt;
-      return CatalogPointer{*id_v, *list_key, *entries_v};
+      CatalogPointer row{0, *list_key, 0};
+      if (!wire::parse_u64(*id, row.snapshot_id) ||
+          !wire::parse_u64(*entries, row.total_entries))
+        return std::nullopt;
+      return row;
     }
     if (!retry_invisible || attempt >= max_retries_) return std::nullopt;
   }

@@ -17,6 +17,7 @@
 #include "cloudprov/serialize.hpp"
 #include "cloudprov/session.hpp"
 #include "cloudprov/wal_backend.hpp"
+#include "cloudprov/wire_codec.hpp"
 #include "pass/observer.hpp"
 #include "util/md5.hpp"
 #include "util/require.hpp"
@@ -38,21 +39,16 @@ struct Fixture {
       case Architecture::kS3Only:
         backend = make_backend(arch, services);
         break;
-      case Architecture::kS3SimpleDb: {
-        auto sdb = std::make_unique<SdbBackend>(
+      case Architecture::kS3SimpleDb:
+        backend = std::make_unique<SdbBackend>(
             services, SdbBackendConfig{.shard_count = options.shard_count,
                                        .parallelism = options.parallelism});
-        topology = sdb->topology();
-        backend = std::move(sdb);
         break;
-      }
       case Architecture::kS3SimpleDbSqs: {
         WalBackendConfig cfg;
         cfg.shard_count = options.shard_count;
         cfg.parallelism = options.parallelism;
-        auto wal = std::make_unique<WalBackend>(services, cfg);
-        topology = wal->topology();
-        backend = std::move(wal);
+        backend = std::make_unique<WalBackend>(services, cfg);
         break;
       }
       case Architecture::kS3SegmentLog: {
@@ -62,17 +58,13 @@ struct Fixture {
         // Small publish threshold: index publications (and their crash
         // points) fire inside the workload, not only at quiesce.
         cfg.index_publish_entries = 8;
-        auto lsb = std::make_unique<LsbBackend>(services, cfg);
-        topology = lsb->topology();
-        backend = std::move(lsb);
+        backend = std::make_unique<LsbBackend>(services, cfg);
         break;
       }
     }
-    // Arch 1 has no SimpleDB layout; check_state's S3 branch ignores the
-    // topology, but keep a valid single-domain one for uniformity.
-    if (topology == nullptr)
-      topology = DomainTopology::make(
-          TopologyConfig{.ledger = &env.latency_ledger()});
+    // Arch 1's is a single-domain layout, which check_state's S3 branch
+    // ignores.
+    topology = backend->topology();
     group_size = options.group_size;
     flush_deadline = options.flush_deadline;
     // Hostile environment: correlated brown-outs and 503 throttle storms
@@ -203,13 +195,10 @@ void settle(Fixture& fx) {
 }
 
 std::uint32_t meta_version(const aws::S3Metadata& meta, const char* key) {
+  std::uint32_t version = 0;
   auto it = meta.find(key);
-  if (it == meta.end()) return 0;
-  try {
-    return static_cast<std::uint32_t>(std::stoul(it->second));
-  } catch (...) {
-    return 0;
-  }
+  if (it != meta.end()) wire::parse_u32(it->second, version);
+  return version;
 }
 
 struct StateViolations {
@@ -292,13 +281,9 @@ StateViolations check_state(Architecture arch, CloudServices& services,
                                            lsb::kMetaItem)) {
       const auto parse = [&meta](const char* attr, std::uint64_t fallback) {
         auto it = meta->find(attr);
-        if (it == meta->end() || it->second.empty()) return fallback;
-        try {
-          return static_cast<std::uint64_t>(
-              std::stoull(*it->second.begin()));
-        } catch (...) {
-          return fallback;
-        }
+        if (it != meta->end() && !it->second.empty())
+          wire::parse_u64(*it->second.begin(), fallback);
+        return fallback;
       };
       delete_to = parse(lsb::kDeleteToAttr, 1);
       indexed_to = parse(lsb::kIndexedToAttr, 0);

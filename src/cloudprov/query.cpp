@@ -122,7 +122,7 @@ class S3QueryEngine final : public QueryEngine {
           const std::string spill_key =
               r.text().substr(std::strlen(kSpillMarker));
           auto got = services_->s3.get(kDataBucket, spill_key);
-          if (got) r = pass::ProvenanceRecord{r.attribute, *got->data};
+          if (got) r = record_from(r.attribute, *got->data);
         }
         out.push_back(std::move(*decoded));
       }

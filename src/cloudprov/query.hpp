@@ -102,8 +102,8 @@ class DomainTopology;
 std::unique_ptr<QueryEngine> make_sdb_query_engine(CloudServices& services);
 std::unique_ptr<QueryEngine> make_sdb_query_engine(CloudServices& services,
                                                    const SdbQueryConfig& config);
-/// Share the storing backend's topology outright (SdbBackend::topology(),
-/// WalBackend::topology()): same layout *and* same executor.
+/// Share the storing backend's topology outright
+/// (ProvenanceBackend::topology()): same layout *and* same executor.
 std::unique_ptr<QueryEngine> make_sdb_query_engine(
     CloudServices& services, std::shared_ptr<const DomainTopology> topology);
 

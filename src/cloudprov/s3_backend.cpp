@@ -18,19 +18,14 @@ util::Unexpected<BackendError> corrupt_metadata(const std::string& object) {
 }  // namespace
 
 S3Backend::S3Backend(CloudServices& services, std::size_t parallelism)
-    : services_(&services),
-      topology_(DomainTopology::make(
-          TopologyConfig{.shard_count = 1,
-                         .parallelism = parallelism,
-                         .ledger = &services.env->latency_ledger()})) {}
+    : ProvenanceBackend(services, TopologyConfig{.parallelism = parallelism}) {}
 
-void S3Backend::commit_group(const std::vector<TicketState*>& group,
-                             sim::LatencyLedger* ledger) {
+void S3Backend::commit_group(const std::vector<TicketState*>& group) {
   for (TicketState* ticket : group) {
     // The whole single-PUT close is exclusive to this ticket: land it on
     // the ticket's timeline so in-flight closes of other sessions overlap.
-    std::optional<sim::LatencyLedger::ScopedTimeline> bind;
-    if (ledger != nullptr) bind.emplace(*ledger, ticket->timeline);
+    sim::LatencyLedger::ScopedTimeline bind(services_->env->latency_ledger(),
+                                            ticket->timeline);
     store_one(ticket->unit);
     ticket->done = true;
   }
@@ -75,14 +70,7 @@ BackendResult<std::vector<pass::ProvenanceRecord>> S3Backend::resolve_spills(
     for (std::uint32_t attempt = 0; attempt <= max_retries; ++attempt) {
       auto got = services_->s3.get(kDataBucket, key);
       if (got) {
-        r = pass::ProvenanceRecord{r.attribute, *got->data};
-        if (is_xref_attribute(r.attribute)) {
-          std::string object;
-          std::uint32_t version = 0;
-          if (parse_item_name(*got->data, object, version))
-            r = pass::make_xref_record(r.attribute,
-                                       pass::ObjectVersion{object, version});
-        }
+        r = record_from(r.attribute, *got->data);
         resolved = true;
         break;
       }
@@ -144,13 +132,6 @@ BackendResult<std::vector<pass::ProvenanceRecord>> S3Backend::get_provenance(
         "version; requested " + std::to_string(version) + " but stored is " +
         std::to_string(decoded->version));
   return resolve_spills(std::move(decoded->records), 64);
-}
-
-std::unique_ptr<Session> S3Backend::do_open_session(SessionConfig config) {
-  return std::make_unique<Session>(
-      *this, std::move(config), &services_->env->latency_ledger(),
-      &services_->env->clock(), &services_->env->tracer(),
-      &services_->env->metrics());
 }
 
 std::unique_ptr<ProvenanceBackend> make_s3_backend(CloudServices& services) {

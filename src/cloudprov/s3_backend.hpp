@@ -33,17 +33,12 @@ class S3Backend final : public ProvenanceBackend {
   Architecture architecture() const override { return Architecture::kS3Only; }
   std::string name() const override { return "S3"; }
 
-  /// Sessions on Arch 1 flush every submit immediately
-  /// (supports_group_commit is false): the single-PUT close is what the
-  /// atomicity and consistency rows of Table 1 rest on, so submits never
-  /// wait for a group no matter the configured max_group.
-  std::unique_ptr<Session> do_open_session(SessionConfig config) override;
-  /// One blocking single-PUT store per close, in submit order.
-  void commit_group(const std::vector<TicketState*>& group,
-                    sim::LatencyLedger* ledger) override;
-  std::shared_ptr<const DomainTopology> topology() const override {
-    return topology_;
-  }
+  /// One blocking single-PUT store per close, in submit order. Sessions
+  /// on Arch 1 flush every submit immediately (supports_group_commit is
+  /// false): the single-PUT close is what the atomicity and consistency
+  /// rows of Table 1 rest on, so submits never wait for a group no matter
+  /// the configured max_group.
+  void commit_group(const std::vector<TicketState*>& group) override;
   BackendResult<ReadResult> read(const std::string& object,
                                  std::uint32_t max_retries = 64) override;
   BackendResult<std::vector<pass::ProvenanceRecord>> get_provenance(
@@ -64,9 +59,6 @@ class S3Backend final : public ProvenanceBackend {
   /// Resolve spill pointers in decoded records, charging GETs.
   BackendResult<std::vector<pass::ProvenanceRecord>> resolve_spills(
       std::vector<pass::ProvenanceRecord> records, std::uint32_t max_retries);
-
-  CloudServices* services_;
-  std::shared_ptr<const DomainTopology> topology_;
 };
 
 }  // namespace provcloud::cloudprov

@@ -10,6 +10,7 @@
 #include "cloudprov/consistency_read.hpp"
 #include "cloudprov/serialize.hpp"
 #include "cloudprov/session.hpp"
+#include "cloudprov/wire_codec.hpp"
 #include "util/md5.hpp"
 #include "util/require.hpp"
 
@@ -33,17 +34,7 @@ BackendResult<void> resolve_spills(CloudServices& services,
         charge_read_retry(*services.env);
       auto got = services.s3.get(kDataBucket, key);
       if (!got) continue;
-      if (is_xref_attribute(r.attribute)) {
-        std::string ref_object;
-        std::uint32_t ref_version = 0;
-        if (parse_item_name(*got->data, ref_object, ref_version)) {
-          r = pass::make_xref_record(
-              r.attribute, pass::ObjectVersion{ref_object, ref_version});
-          resolved = true;
-          break;
-        }
-      }
-      r = pass::ProvenanceRecord{r.attribute, *got->data};
+      r = record_from(r.attribute, *got->data);
       resolved = true;
       break;
     }
@@ -237,11 +228,7 @@ BackendResult<ReadResult> consistency_checked_read(
     if (nonce_it == got->metadata.end()) continue;
     const std::string nonce = nonce_it->second;
     std::uint32_t version = 0;
-    try {
-      version = static_cast<std::uint32_t>(std::stoul(nonce));
-    } catch (...) {
-      continue;
-    }
+    if (!wire::parse_u32(nonce, version)) continue;  // malformed: no pair
 
     // Round part 2: the provenance item named by the nonce.
     const std::string item = item_name(object, version);
@@ -329,24 +316,14 @@ void batch_put_items(CloudServices& services, const std::string& domain,
 // ---------------------------------------------------------------------------
 
 SdbBackend::SdbBackend(CloudServices& services, SdbBackendConfig config)
-    : services_(&services),
-      config_(config),
-      topology_(DomainTopology::make(
-          TopologyConfig{.shard_count = config.shard_count,
-                         .parallelism = config.parallelism,
-                         .ledger = &services.env->latency_ledger()})) {
+    : ProvenanceBackend(services,
+                        TopologyConfig{.shard_count = config.shard_count,
+                                       .parallelism = config.parallelism}),
+      config_(config) {
   topology_->ensure_domains(services_->sdb);
 }
 
-std::unique_ptr<Session> SdbBackend::do_open_session(SessionConfig config) {
-  return std::make_unique<Session>(
-      *this, std::move(config), &services_->env->latency_ledger(),
-      &services_->env->clock(), &services_->env->tracer(),
-      &services_->env->metrics());
-}
-
-void SdbBackend::commit_group(const std::vector<TicketState*>& group,
-                              sim::LatencyLedger* ledger) {
+void SdbBackend::commit_group(const std::vector<TicketState*>& group) {
   aws::CloudEnv& env = *services_->env;
   struct PreparedUnit {
     TicketState* ticket = nullptr;
@@ -372,8 +349,8 @@ void SdbBackend::commit_group(const std::vector<TicketState*>& group,
     {
       // Spill PUTs are exclusive to this close: in-flight closes overlap
       // them, so they land on the ticket's own timeline.
-      std::optional<sim::LatencyLedger::ScopedTimeline> bind;
-      if (ledger != nullptr) bind.emplace(*ledger, ticket->timeline);
+      sim::LatencyLedger::ScopedTimeline bind(env.latency_ledger(),
+                                              ticket->timeline);
       for (std::size_t index : enc.spilled_indexes) {
         const pass::ProvenanceRecord& r = unit.records[index];
         const std::string key = overflow_key(unit.object, unit.version, index);
@@ -460,8 +437,8 @@ void SdbBackend::commit_group(const std::vector<TicketState*>& group,
       aws::S3Metadata meta;
       meta[kNonceMetaKey] = nonce_for_version(unit.version);
       meta[kVersionMetaKey] = std::to_string(unit.version);
-      std::optional<sim::LatencyLedger::ScopedTimeline> bind;
-      if (ledger != nullptr) bind.emplace(*ledger, p.ticket->timeline);
+      sim::LatencyLedger::ScopedTimeline bind(env.latency_ledger(),
+                                              p.ticket->timeline);
       auto put = services_->s3.put_shared(kDataBucket, unit.object, data, meta);
       PROVCLOUD_REQUIRE_MSG(put.has_value(),
                             "data PUT failed: " + put.error().message);
@@ -521,12 +498,7 @@ void SdbBackend::recover() {
           if (!head) continue;
           auto v = head->metadata.find(kVersionMetaKey);
           std::uint32_t seen = 0;
-          if (v != head->metadata.end()) {
-            try {
-              seen = static_cast<std::uint32_t>(std::stoul(v->second));
-            } catch (...) {
-            }
-          }
+          if (v != head->metadata.end()) wire::parse_u32(v->second, seen);
           data_version = std::max(data_version, seen);
           if (seen >= version) {
             data_present = true;

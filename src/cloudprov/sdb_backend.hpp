@@ -46,14 +46,12 @@ class SdbBackend final : public ProvenanceBackend {
   }
   std::string name() const override { return "S3+SimpleDB"; }
 
-  std::unique_ptr<Session> do_open_session(SessionConfig config) override;
   bool supports_group_commit() const override { return true; }
   /// Cross-close group commit: one BatchPutAttributes chain per group of
   /// closes (per shard domain, in causal waves) instead of one per close,
   /// then the data PUTs in submit order. With a single-close group this is
   /// bit-for-bit the per-close store() protocol.
-  void commit_group(const std::vector<TicketState*>& group,
-                    sim::LatencyLedger* ledger) override;
+  void commit_group(const std::vector<TicketState*>& group) override;
   BackendResult<ReadResult> read(const std::string& object,
                                  std::uint32_t max_retries = 64) override;
   BackendResult<std::vector<pass::ProvenanceRecord>> get_provenance(
@@ -77,14 +75,9 @@ class SdbBackend final : public ProvenanceBackend {
   std::uint64_t last_recovery_orphans() const { return last_orphans_; }
 
   const SdbBackendConfig& config() const { return config_; }
-  std::shared_ptr<const DomainTopology> topology() const override {
-    return topology_;
-  }
 
  private:
-  CloudServices* services_;
   SdbBackendConfig config_;
-  std::shared_ptr<const DomainTopology> topology_;
   std::uint64_t last_orphans_ = 0;
 };
 

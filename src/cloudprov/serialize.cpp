@@ -1,7 +1,6 @@
 #include "cloudprov/serialize.hpp"
 
 #include <cstring>
-#include <limits>
 
 #include "cloudprov/wire_codec.hpp"
 #include "util/require.hpp"
@@ -18,15 +17,10 @@ std::string item_name(const std::string& object, std::uint32_t version) {
 bool parse_item_name(const std::string& item, std::string& object,
                      std::uint32_t& version) {
   const std::size_t pos = item.rfind(':');
-  if (pos == std::string::npos || pos + 1 >= item.size()) return false;
-  std::uint64_t v = 0;
-  for (std::size_t i = pos + 1; i < item.size(); ++i) {
-    if (item[i] < '0' || item[i] > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(item[i] - '0');
-    if (v > std::numeric_limits<std::uint32_t>::max()) return false;
-  }
+  if (pos == std::string::npos ||
+      !wire::parse_u32(std::string_view(item).substr(pos + 1), version))
+    return false;
   object = item.substr(0, pos);
-  version = static_cast<std::uint32_t>(v);
   return true;
 }
 
@@ -46,8 +40,6 @@ std::string serialize_record(const ProvenanceRecord& record) {
          util::field_escape(record.value_string());
 }
 
-namespace {
-
 ProvenanceRecord record_from(const std::string& attribute,
                              const std::string& value) {
   if (is_xref_attribute(attribute) &&
@@ -60,8 +52,6 @@ ProvenanceRecord record_from(const std::string& attribute,
   }
   return pass::make_text_record(attribute, value);
 }
-
-}  // namespace
 
 std::optional<ProvenanceRecord> parse_record(const std::string& serialized) {
   const std::size_t eq = serialized.find('=');
@@ -130,8 +120,7 @@ std::optional<DecodedMetadata> decode_metadata(
     if (key == "x-object") {
       out.object = value;
     } else if (key == "x-version") {
-      wire::Cursor c(value);
-      if (!c.read_u32(out.version) || !c.done()) return std::nullopt;
+      if (!wire::parse_u32(value, out.version)) return std::nullopt;
     } else if (key == "x-kind") {
       out.kind = value;
     } else if (!key.empty() && key[0] == 'p') {

@@ -5,6 +5,11 @@
 // 1 KB each). Following the paper, any record whose serialized payload
 // exceeds the spill threshold (1 KB) is stored as its own S3 object and the
 // in-place value becomes a pointer "@s3:<key>".
+//
+// record_from is the one decoder of a stored value, in place or spilled: an
+// xref attribute's "object:version" becomes an xref, anything else text.
+// Every reader that resolves a spill pointer hands the fetched object to it,
+// so a spilled xref reads back as the xref it was.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +59,12 @@ std::optional<pass::ProvenanceRecord> parse_record(
 
 /// True when `attribute` carries cross-references (INPUT, PREV, FORKPARENT).
 bool is_xref_attribute(const std::string& attribute);
+
+/// One stored value (already unescaped) back into a record: an xref when
+/// `attribute` carries cross-references and `value` is an item name, text
+/// otherwise (a spill pointer stays text, for the caller to resolve).
+pass::ProvenanceRecord record_from(const std::string& attribute,
+                                   const std::string& value);
 
 // --- Architecture 1: records as S3 metadata -------------------------------
 

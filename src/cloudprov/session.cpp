@@ -20,13 +20,12 @@ const char* to_string(FlushTrigger trigger) {
 }
 
 // ---------------------------------------------------------------------------
-// ProvenanceBackend members that need Session / CommitDaemon / DomainTopology
-// complete.
+// ProvenanceBackend members that need Session / CommitDaemon complete.
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<Session> ProvenanceBackend::open_session(
     SessionConfig config) {
-  return do_open_session(std::move(config));
+  return std::make_unique<Session>(*this, std::move(config));
 }
 
 void ProvenanceBackend::store(const pass::FlushUnit& unit) {
@@ -41,30 +40,6 @@ void ProvenanceBackend::store(const pass::FlushUnit& unit) {
                         "store failed: " + result.error().message);
 }
 
-std::vector<BackendResult<ReadResult>> ProvenanceBackend::read_many(
-    const std::vector<std::string>& objects, std::uint32_t max_retries) {
-  std::vector<BackendResult<ReadResult>> out(
-      objects.size(),
-      backend_error(BackendErrorCode::kUnknown, "read_many: not attempted"));
-  const std::shared_ptr<const DomainTopology> topo = topology();
-  if (topo == nullptr) {
-    for (std::size_t i = 0; i < objects.size(); ++i)
-      out[i] = read(objects[i], max_retries);
-    return out;
-  }
-  // Route the fan-out through the backend's topology: parallelism > 1
-  // overlaps the per-object consistency rounds (critical-path merged);
-  // parallelism == 1 runs inline in input order, exactly the loop above.
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(objects.size());
-  for (std::size_t i = 0; i < objects.size(); ++i)
-    tasks.push_back([this, &objects, &out, i, max_retries] {
-      out[i] = read(objects[i], max_retries);
-    });
-  topo->run_tasks(std::move(tasks));
-  return out;
-}
-
 void ProvenanceBackend::quiesce() {
   std::shared_ptr<CommitDaemon> daemon;
   {
@@ -75,19 +50,37 @@ void ProvenanceBackend::quiesce() {
   do_quiesce();
 }
 
-std::shared_ptr<CommitDaemon> ProvenanceBackend::commit_daemon(
-    sim::LatencyLedger* ledger, sim::SimClock* clock, obs::Tracer* tracer,
-    obs::MetricsRegistry* metrics) {
+std::shared_ptr<CommitDaemon> ProvenanceBackend::commit_daemon() {
   std::lock_guard<std::mutex> lock(daemon_mu_);
-  if (daemon_ == nullptr)
-    daemon_ =
-        std::make_shared<CommitDaemon>(*this, ledger, clock, tracer, metrics);
+  if (daemon_ == nullptr) daemon_ = std::make_shared<CommitDaemon>(*this);
   return daemon_;
 }
 
 // ---------------------------------------------------------------------------
 // CommitDaemon
 // ---------------------------------------------------------------------------
+
+CommitDaemon::CommitDaemon(ProvenanceBackend& backend)
+    : backend_(backend),
+      ledger_(backend.services().env->latency_ledger()),
+      clock_(backend.services().env->clock()),
+      tracer_(backend.services().env->tracer()),
+      group_size_hist_(
+          backend.services().env->metrics().histogram("daemon.group_size")),
+      queue_depth_hist_(
+          backend.services().env->metrics().histogram("daemon.queue_depth")),
+      flush_group_full_(
+          backend.services().env->metrics().counter("daemon.flush.group_full")),
+      flush_deadline_(
+          backend.services().env->metrics().counter("daemon.flush.deadline")),
+      flush_sync_(
+          backend.services().env->metrics().counter("daemon.flush.sync")),
+      queue_wait_us_(
+          backend.services().env->metrics().counter("idle.queue_wait_us")),
+      maintenance_busy_us_(
+          backend.services().env->metrics().counter("maintenance.busy_us")),
+      maintenance_wait_us_(backend.services().env->metrics().counter(
+          "idle.maintenance_wait_us")) {}
 
 std::uint64_t CommitDaemon::register_session() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -98,8 +91,8 @@ void CommitDaemon::submit(const std::shared_ptr<TicketState>& ticket) {
   sim::SimTime wake_at = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ticket->enqueue_time = clock_ != nullptr ? clock_->now() : 0;
-    if (ticket->flush_deadline > 0 && clock_ != nullptr) {
+    ticket->enqueue_time = clock_.now();
+    if (ticket->flush_deadline > 0) {
       ticket->deadline_at = ticket->enqueue_time + ticket->flush_deadline;
       wake_at = ticket->deadline_at;
     }
@@ -109,7 +102,7 @@ void CommitDaemon::submit(const std::shared_ptr<TicketState>& ticket) {
     // The wake holds no strong reference: a pending clock event must not
     // keep a dead backend's daemon alive. A stale wake no-ops in poll().
     std::weak_ptr<CommitDaemon> weak = weak_from_this();
-    clock_->schedule_at(wake_at, [weak] {
+    clock_.schedule_at(wake_at, [weak] {
       if (const std::shared_ptr<CommitDaemon> self = weak.lock()) self->poll();
     });
   }
@@ -181,12 +174,10 @@ std::optional<FlushTrigger> CommitDaemon::trigger_locked() const {
   for (const std::shared_ptr<TicketState>& t : queue_)
     min_group = std::min(min_group, std::max<std::size_t>(t->max_group, 1));
   if (queue_.size() >= min_group) return FlushTrigger::kGroupFull;
-  if (clock_ != nullptr) {
-    const sim::SimTime now = clock_->now();
-    for (const std::shared_ptr<TicketState>& t : queue_)
-      if (t->deadline_at > 0 && now >= t->deadline_at)
-        return FlushTrigger::kDeadline;
-  }
+  const sim::SimTime now = clock_.now();
+  for (const std::shared_ptr<TicketState>& t : queue_)
+    if (t->deadline_at > 0 && now >= t->deadline_at)
+      return FlushTrigger::kDeadline;
   return std::nullopt;
 }
 
@@ -194,12 +185,12 @@ void CommitDaemon::flush_group(std::unique_lock<std::mutex>& lk,
                                FlushTrigger trigger) {
   flushing_ = true;
   const std::uint64_t seq = ++next_group_seq_;
-  if (queue_depth_hist_ != nullptr) queue_depth_hist_->record(queue_.size());
+  queue_depth_hist_.record(queue_.size());
   std::vector<std::shared_ptr<TicketState>> owned(queue_.begin(),
                                                   queue_.end());
   queue_.clear();
-  const bool tracing = tracer_ != nullptr && tracer_->enabled();
-  const sim::SimTime now = clock_ != nullptr ? clock_->now() : 0;
+  const bool tracing = tracer_.enabled();
+  const sim::SimTime now = clock_.now();
   for (const std::shared_ptr<TicketState>& t : owned) {
     t->group_seq = seq;
     // Deadline batching is not free: the queued wait becomes part of the
@@ -212,23 +203,23 @@ void CommitDaemon::flush_group(std::unique_lock<std::mutex>& lk,
       // the ticket's track it starts at the elapsed total the ticket had
       // when it was enqueued.
       if (tracing)
-        tracer_->complete(&t->timeline, "queue_wait", "idle",
-                          t->enqueue_time + t->timeline.elapsed, wait);
+        tracer_.complete(&t->timeline, "queue_wait", "idle",
+                         t->enqueue_time + t->timeline.elapsed, wait);
       t->timeline.elapsed += wait;
       t->timeline.by_service["idle"] += wait;
-      if (queue_wait_us_ != nullptr) queue_wait_us_->add(wait);
+      queue_wait_us_.add(wait);
     }
   }
-  if (group_size_hist_ != nullptr) group_size_hist_->record(owned.size());
+  group_size_hist_.record(owned.size());
   switch (trigger) {
     case FlushTrigger::kGroupFull:
-      if (flush_group_full_ != nullptr) flush_group_full_->add(1);
+      flush_group_full_.add(1);
       break;
     case FlushTrigger::kDeadline:
-      if (flush_deadline_ != nullptr) flush_deadline_->add(1);
+      flush_deadline_.add(1);
       break;
     case FlushTrigger::kSync:
-      if (flush_sync_ != nullptr) flush_sync_->add(1);
+      flush_sync_.add(1);
       break;
   }
   lk.unlock();
@@ -267,31 +258,25 @@ void CommitDaemon::flush_group(std::unique_lock<std::mutex>& lk,
   };
 
   try {
-    if (ledger_ != nullptr) {
-      {
-        // The shared timeline is a stack object whose address recurs
-        // across flushes: force it onto a fresh trace track per group.
-        if (tracing)
-          tracer_->begin_track(&shared, "group-" + std::to_string(seq));
-        sim::LatencyLedger::ScopedTimeline bind(*ledger_, shared);
-        obs::Span span(tracer_, "flush", "daemon");
-        span.arg("group", static_cast<std::uint64_t>(group.size()));
-        span.arg("trigger", to_string(trigger));
-        span.arg("group_seq", seq);
-        PROVCLOUD_DEBUG("daemon") << "flush group=" << group.size()
-                                  << " trigger=" << to_string(trigger);
-        backend_->commit_group(group, ledger_);
-      }
-      // On the flushing thread's timeline the group ends when its slowest
-      // rider does, once publish() adds the shared time to every rider.
-      sim::SimTime slowest = 0;
-      for (const std::shared_ptr<TicketState>& t : owned)
-        slowest = std::max(slowest, t->timeline.elapsed);
-      maintain(ledger_->elapsed() + slowest + shared.elapsed);
-    } else {
-      backend_->commit_group(group, nullptr);
-      backend_->pump();
+    {
+      // The shared timeline is a stack object whose address recurs across
+      // flushes: force it onto a fresh trace track per group.
+      if (tracing) tracer_.begin_track(&shared, "group-" + std::to_string(seq));
+      sim::LatencyLedger::ScopedTimeline bind(ledger_, shared);
+      obs::Span span(&tracer_, "flush", "daemon");
+      span.arg("group", static_cast<std::uint64_t>(group.size()));
+      span.arg("trigger", to_string(trigger));
+      span.arg("group_seq", seq);
+      PROVCLOUD_DEBUG("daemon") << "flush group=" << group.size()
+                                << " trigger=" << to_string(trigger);
+      backend_.commit_group(group);
     }
+    // On the flushing thread's timeline the group ends when its slowest
+    // rider does, once publish() adds the shared time to every rider.
+    sim::SimTime slowest = 0;
+    for (const std::shared_ptr<TicketState>& t : owned)
+      slowest = std::max(slowest, t->timeline.elapsed);
+    maintain(ledger_.elapsed() + slowest + shared.elapsed);
   } catch (const sim::CrashError&) {
     // The client died mid-group: whatever the backend marked done stays
     // durable; the rest never was.
@@ -322,14 +307,13 @@ void CommitDaemon::maintain(sim::SimTime group_end) {
     const sim::SimTime busy = maintenance_.elapsed - start;
     if (busy == 0)
       maintenance_.elapsed = prev_end;  // nothing was due: the actor slept
-    else if (maintenance_busy_us_ != nullptr)
-      maintenance_busy_us_->add(busy);
+    else
+      maintenance_busy_us_.add(busy);
   };
   try {
-    if (tracer_ != nullptr && tracer_->enabled())
-      tracer_->name_track(&maintenance_, "maintenance");
-    sim::LatencyLedger::ScopedTimeline bind(*ledger_, maintenance_);
-    backend_->pump();
+    if (tracer_.enabled()) tracer_.name_track(&maintenance_, "maintenance");
+    sim::LatencyLedger::ScopedTimeline bind(ledger_, maintenance_);
+    backend_.pump();
   } catch (...) {
     account();
     throw;
@@ -338,38 +322,34 @@ void CommitDaemon::maintain(sim::SimTime group_end) {
 }
 
 void CommitDaemon::join_maintenance() {
-  if (ledger_ == nullptr) return;
   sim::SimTime end = 0;
   {
     std::unique_lock<std::mutex> lk(mu_);
     cv_.wait(lk, [this] { return !flushing_; });
     end = maintenance_.elapsed;
   }
-  const sim::SimTime now = ledger_->elapsed();
+  const sim::SimTime now = ledger_.elapsed();
   if (end <= now) return;
-  obs::Span span(tracer_, "maintenance.join", "daemon");
-  ledger_->charge(end - now, "idle");
-  if (maintenance_wait_us_ != nullptr) maintenance_wait_us_->add(end - now);
+  obs::Span span(&tracer_, "maintenance.join", "daemon");
+  ledger_.charge(end - now, "idle");
+  maintenance_wait_us_.add(end - now);
 }
 
 // ---------------------------------------------------------------------------
 // Session
 // ---------------------------------------------------------------------------
 
-Session::Session(ProvenanceBackend& backend, SessionConfig config,
-                 sim::LatencyLedger* ledger, sim::SimClock* clock,
-                 obs::Tracer* tracer, obs::MetricsRegistry* metrics)
-    : backend_(&backend),
+Session::Session(ProvenanceBackend& backend, SessionConfig config)
+    : backend_(backend),
       config_(std::move(config)),
-      ledger_(ledger),
-      tracer_(tracer) {
-  max_group_ =
-      backend_->supports_group_commit() ? config_.resolved_group() : 1;
-  if (metrics != nullptr)
-    close_latency_ = &metrics->histogram("close.latency_us");
-  daemon_ = backend_->commit_daemon(ledger_, clock, tracer, metrics);
-  serial_ = daemon_->register_session();
-}
+      max_group_(
+          backend.supports_group_commit() ? config_.resolved_group() : 1),
+      ledger_(backend.services().env->latency_ledger()),
+      tracer_(backend.services().env->tracer()),
+      close_latency_(
+          backend.services().env->metrics().histogram("close.latency_us")),
+      daemon_(backend.commit_daemon()),
+      serial_(daemon_->register_session()) {}
 
 Session::~Session() {
   // Closing a session with submits that never reached a barrier is the
@@ -380,12 +360,12 @@ Session::~Session() {
 }
 
 Ticket Session::submit(const pass::FlushUnit& unit) {
-  const bool tracing = tracer_ != nullptr && tracer_->enabled();
-  if (tracing && ledger_ != nullptr && !named_client_track_) {
-    tracer_->name_track(ledger_->active_timeline_id(), config_.client_id);
+  const bool tracing = tracer_.enabled();
+  if (tracing && !named_client_track_) {
+    tracer_.name_track(ledger_.active_timeline_id(), config_.client_id);
     named_client_track_ = true;
   }
-  obs::Span span(tracer_, "session.submit", "session");
+  obs::Span span(&tracer_, "session.submit", "session");
   auto state = std::make_shared<TicketState>();
   state->id = next_ticket_id_++;
   state->unit = unit;
@@ -394,8 +374,8 @@ Ticket Session::submit(const pass::FlushUnit& unit) {
   // A flush deadline is only meaningful when submits may wait for a group.
   if (max_group_ > 1) state->flush_deadline = config_.flush_deadline;
   if (tracing)
-    tracer_->name_track(&state->timeline, config_.client_id + "/ticket-" +
-                                              std::to_string(state->id));
+    tracer_.name_track(&state->timeline, config_.client_id + "/ticket-" +
+                                             std::to_string(state->id));
   span.arg("ticket", state->id);
   span.arg("object", unit.object);
   outstanding_.push_back(state);
@@ -412,7 +392,7 @@ Ticket Session::submit(const pass::FlushUnit& unit) {
 }
 
 BackendResult<void> Session::sync() {
-  obs::Span span(tracer_, "session.sync", "session");
+  obs::Span span(&tracer_, "session.sync", "session");
   span.arg("outstanding", static_cast<std::uint64_t>(outstanding_.size()));
   try {
     daemon_->barrier(outstanding_);
@@ -430,7 +410,7 @@ BackendResult<void> Session::sync() {
 BackendResult<ReadResult> Session::read(const std::string& object,
                                         std::uint32_t max_retries) {
   const auto it = writes_.find(object);
-  if (it == writes_.end()) return backend_->read(object, max_retries);
+  if (it == writes_.end()) return backend_.read(object, max_retries);
   const std::shared_ptr<TicketState>& own = it->second;
   const auto own_write = [&own] {
     // Served from the session's own submit, exactly as it will become (or
@@ -444,8 +424,8 @@ BackendResult<ReadResult> Session::read(const std::string& object,
   if (!own->retired.load(std::memory_order_acquire)) return own_write();
   if (!own->result.has_value())
     // The own write failed; only the backend's view is real.
-    return backend_->read(object, max_retries);
-  BackendResult<ReadResult> got = backend_->read(object, max_retries);
+    return backend_.read(object, max_retries);
+  BackendResult<ReadResult> got = backend_.read(object, max_retries);
   // Floor the backend's answer at the session's own durable write: a stale
   // replica (NoSuchKey or an older version) cannot roll the session's view
   // of its own writes backwards.
@@ -466,30 +446,26 @@ void Session::reap() {
          outstanding_[retired]->retired.load(std::memory_order_acquire))
     ++retired;
   if (retired == 0) return;
-  if (close_latency_ != nullptr) {
-    // Every retired close's end-to-end virtual latency (exclusive service
-    // time + queued idle + the group's shared round trips) feeds the
-    // percentile view the benches report.
-    for (std::size_t i = 0; i < retired; ++i)
-      close_latency_->record(outstanding_[i]->timeline.elapsed);
-  }
-  if (ledger_ != nullptr) {
-    // One critical-path merge per flush group: this session's closes that
-    // rode one group were in flight together, so the caller waited for the
-    // slowest of them (each carrying the group's shared time), not the sum.
-    std::size_t start = 0;
-    while (start < retired) {
-      std::size_t end = start + 1;
-      while (end < retired &&
-             outstanding_[end]->group_seq == outstanding_[start]->group_seq)
-        ++end;
-      std::vector<const sim::LatencyLedger::Timeline*> timelines;
-      timelines.reserve(end - start);
-      for (std::size_t i = start; i < end; ++i)
-        timelines.push_back(&outstanding_[i]->timeline);
-      ledger_->merge_critical_path(timelines);
-      start = end;
-    }
+  // Every retired close's end-to-end virtual latency (exclusive service
+  // time + queued idle + the group's shared round trips) feeds the
+  // percentile view the benches report.
+  for (std::size_t i = 0; i < retired; ++i)
+    close_latency_.record(outstanding_[i]->timeline.elapsed);
+  // One critical-path merge per flush group: this session's closes that
+  // rode one group were in flight together, so the caller waited for the
+  // slowest of them (each carrying the group's shared time), not the sum.
+  std::size_t start = 0;
+  while (start < retired) {
+    std::size_t end = start + 1;
+    while (end < retired &&
+           outstanding_[end]->group_seq == outstanding_[start]->group_seq)
+      ++end;
+    std::vector<const sim::LatencyLedger::Timeline*> timelines;
+    timelines.reserve(end - start);
+    for (std::size_t i = start; i < end; ++i)
+      timelines.push_back(&outstanding_[i]->timeline);
+    ledger_.merge_critical_path(timelines);
+    start = end;
   }
   if (!first_error_.has_value()) {
     for (std::size_t i = 0; i < retired; ++i) {

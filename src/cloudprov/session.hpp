@@ -61,6 +61,10 @@
 // of its own path and the actor's, never more than the serial sum of all
 // charges. Arch 1/2's pump() is a no-op, so their accounting is the sum
 // exactly.
+//
+// Env: Session and CommitDaemon run on the backend's env
+// (backend.services().env) -- its ledger, clock, tracer and metrics. Every
+// backend has one, so every flush takes the same path.
 #pragma once
 
 #include <atomic>
@@ -163,21 +167,7 @@ class Ticket {
 /// blocking.
 class CommitDaemon : public std::enable_shared_from_this<CommitDaemon> {
  public:
-  CommitDaemon(ProvenanceBackend& backend, sim::LatencyLedger* ledger,
-               sim::SimClock* clock, obs::Tracer* tracer = nullptr,
-               obs::MetricsRegistry* metrics = nullptr)
-      : backend_(&backend), ledger_(ledger), clock_(clock), tracer_(tracer) {
-    if (metrics != nullptr) {
-      group_size_hist_ = &metrics->histogram("daemon.group_size");
-      queue_depth_hist_ = &metrics->histogram("daemon.queue_depth");
-      flush_group_full_ = &metrics->counter("daemon.flush.group_full");
-      flush_deadline_ = &metrics->counter("daemon.flush.deadline");
-      flush_sync_ = &metrics->counter("daemon.flush.sync");
-      queue_wait_us_ = &metrics->counter("idle.queue_wait_us");
-      maintenance_busy_us_ = &metrics->counter("maintenance.busy_us");
-      maintenance_wait_us_ = &metrics->counter("idle.maintenance_wait_us");
-    }
-  }
+  explicit CommitDaemon(ProvenanceBackend& backend);
   CommitDaemon(const CommitDaemon&) = delete;
   CommitDaemon& operator=(const CommitDaemon&) = delete;
 
@@ -230,18 +220,18 @@ class CommitDaemon : public std::enable_shared_from_this<CommitDaemon> {
   /// bound to `maintenance_`. Runs under the flush token.
   void maintain(sim::SimTime group_end);
 
-  ProvenanceBackend* backend_;
-  sim::LatencyLedger* ledger_;
-  sim::SimClock* clock_;
-  obs::Tracer* tracer_;
-  obs::Histogram* group_size_hist_ = nullptr;
-  obs::Histogram* queue_depth_hist_ = nullptr;
-  obs::Counter* flush_group_full_ = nullptr;
-  obs::Counter* flush_deadline_ = nullptr;
-  obs::Counter* flush_sync_ = nullptr;
-  obs::Counter* queue_wait_us_ = nullptr;
-  obs::Counter* maintenance_busy_us_ = nullptr;
-  obs::Counter* maintenance_wait_us_ = nullptr;
+  ProvenanceBackend& backend_;
+  sim::LatencyLedger& ledger_;
+  sim::SimClock& clock_;
+  obs::Tracer& tracer_;
+  obs::Histogram& group_size_hist_;
+  obs::Histogram& queue_depth_hist_;
+  obs::Counter& flush_group_full_;
+  obs::Counter& flush_deadline_;
+  obs::Counter& flush_sync_;
+  obs::Counter& queue_wait_us_;
+  obs::Counter& maintenance_busy_us_;
+  obs::Counter& maintenance_wait_us_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -262,16 +252,11 @@ class CommitDaemon : public std::enable_shared_from_this<CommitDaemon> {
 /// closes from several sessions.
 class Session {
  public:
-  /// Built by ProvenanceBackend::open_session. `clock` powers deadline
-  /// flushes (null: deadlines disabled, e.g. test backends with no env).
-  /// `tracer`/`metrics` (null: dark) are the env's observability surfaces:
-  /// submits and syncs become spans on the client's track, every ticket
-  /// timeline gets its own named track, and retired closes feed the
+  /// Built by ProvenanceBackend::open_session. Submits and syncs become
+  /// spans on the client's track of the env's tracer, every ticket timeline
+  /// gets its own named track, and retired closes feed the env's
   /// close.latency_us histogram.
-  Session(ProvenanceBackend& backend, SessionConfig config,
-          sim::LatencyLedger* ledger, sim::SimClock* clock = nullptr,
-          obs::Tracer* tracer = nullptr,
-          obs::MetricsRegistry* metrics = nullptr);
+  Session(ProvenanceBackend& backend, SessionConfig config);
   ~Session();
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -311,12 +296,12 @@ class Session {
   /// outstanding list.
   void reap();
 
-  ProvenanceBackend* backend_;
+  ProvenanceBackend& backend_;
   SessionConfig config_;
   std::size_t max_group_ = 1;  // effective (1 when no group commit)
-  sim::LatencyLedger* ledger_;
-  obs::Tracer* tracer_ = nullptr;
-  obs::Histogram* close_latency_ = nullptr;
+  sim::LatencyLedger& ledger_;
+  obs::Tracer& tracer_;
+  obs::Histogram& close_latency_;
   bool named_client_track_ = false;
   std::shared_ptr<CommitDaemon> daemon_;
   std::uint64_t serial_ = 0;

@@ -36,12 +36,7 @@ char kind_code(WalRecord::Kind kind) {
   return '?';
 }
 
-/// A count, version or chunk index: the whole field a decimal u32, so a
-/// sign, a space, trailing bytes or a value above UINT32_MAX is corrupt.
-bool parse_u32(const std::string& field, std::uint32_t& out) {
-  wire::Cursor c(field);
-  return c.read_u32(out) && c.done();
-}
+using wire::parse_u32;
 
 }  // namespace
 

@@ -9,6 +9,7 @@
 #include "cloudprov/consistency_read.hpp"
 #include "cloudprov/serialize.hpp"
 #include "cloudprov/session.hpp"
+#include "cloudprov/wire_codec.hpp"
 #include "util/md5.hpp"
 #include "util/require.hpp"
 
@@ -30,12 +31,10 @@ constexpr sim::SimTime kTempObjectTtl = 4 * sim::kDay;
 }  // namespace
 
 WalBackend::WalBackend(CloudServices& services, WalBackendConfig config)
-    : services_(&services),
+    : ProvenanceBackend(services,
+                        TopologyConfig{.shard_count = config.shard_count,
+                                       .parallelism = config.parallelism}),
       config_(std::move(config)),
-      topology_(DomainTopology::make(
-          TopologyConfig{.shard_count = config_.shard_count,
-                         .parallelism = config_.parallelism,
-                         .ledger = &services.env->latency_ledger()})),
       incarnation_(services.env->rng_below(
           std::numeric_limits<std::uint64_t>::max())) {
   topology_->ensure_domains(services_->sdb);
@@ -45,15 +44,7 @@ WalBackend::WalBackend(CloudServices& services, WalBackendConfig config)
   queue_url_ = *queue;
 }
 
-std::unique_ptr<Session> WalBackend::do_open_session(SessionConfig config) {
-  return std::make_unique<Session>(
-      *this, std::move(config), &services_->env->latency_ledger(),
-      &services_->env->clock(), &services_->env->tracer(),
-      &services_->env->metrics());
-}
-
-void WalBackend::commit_group(const std::vector<TicketState*>& group,
-                              sim::LatencyLedger* ledger) {
+void WalBackend::commit_group(const std::vector<TicketState*>& group) {
   aws::CloudEnv& env = *services_->env;
   struct LoggedTxn {
     TicketState* ticket = nullptr;
@@ -140,8 +131,8 @@ void WalBackend::commit_group(const std::vector<TicketState*>& group,
     if (txn.has_data) {
       aws::S3Metadata temp_meta;
       temp_meta[kTempCreatedMetaKey] = std::to_string(env.clock().now());
-      std::optional<sim::LatencyLedger::ScopedTimeline> bind;
-      if (ledger != nullptr) bind.emplace(*ledger, txn.ticket->timeline);
+      sim::LatencyLedger::ScopedTimeline bind(env.latency_ledger(),
+                                              txn.ticket->timeline);
       auto temp_put = services_->s3.put_shared(kDataBucket, txn.temp_key,
                                                txn.data, temp_meta);
       PROVCLOUD_REQUIRE_MSG(temp_put.has_value(),
@@ -278,7 +269,8 @@ std::optional<WalBackend::StagedTxn> WalBackend::prepare_transaction(
   // of the same version must copy, or S3 would keep the earlier submit's
   // data under this transaction's MD5. The daemon's own memory answers
   // first: a kept transaction can complete at the very clock instant its
-  // successor was promoted, before any replica the HEADs sample has it.
+  // successor was promoted, before any replica the HEADs sample has it. A
+  // malformed stored version is no version: it supersedes nothing.
   const auto memo = promoted.find(data.object);
   bool superseded = has_data && memo != promoted.end() &&
                     memo->second.version > data.version;
@@ -286,11 +278,9 @@ std::optional<WalBackend::StagedTxn> WalBackend::prepare_transaction(
     auto head = services_->s3.head(kDataBucket, data.object);
     if (!head) continue;
     auto v = head->metadata.find(kVersionMetaKey);
-    if (v == head->metadata.end()) continue;
-    try {
-      superseded = std::stoul(v->second) > data.version;
-    } catch (...) {
-    }
+    std::uint32_t stored = 0;
+    superseded = v != head->metadata.end() &&
+                 wire::parse_u32(v->second, stored) && stored > data.version;
   }
 
   aws::S3Metadata meta;
@@ -318,12 +308,10 @@ std::optional<WalBackend::StagedTxn> WalBackend::prepare_transaction(
     bool already_applied = false;
     if (head) {
       auto v = head->metadata.find(kVersionMetaKey);
-      if (v != head->metadata.end()) {
-        try {
-          already_applied = std::stoul(v->second) >= data.version;
-        } catch (...) {
-        }
-      }
+      std::uint32_t stored = 0;
+      already_applied = v != head->metadata.end() &&
+                        wire::parse_u32(v->second, stored) &&
+                        stored >= data.version;
     }
     if (!already_applied) return std::nullopt;  // defer to a later pump
   }
@@ -492,11 +480,7 @@ void WalBackend::clean_temp_objects() {
       auto created_it = head->metadata.find(kTempCreatedMetaKey);
       if (created_it == head->metadata.end()) continue;
       sim::SimTime created = 0;
-      try {
-        created = std::stoull(created_it->second);
-      } catch (...) {
-        continue;
-      }
+      if (!wire::parse_u64(created_it->second, created)) continue;
       if (now >= created && now - created >= kTempObjectTtl) {
         auto del = services_->s3.del(kDataBucket, key);
         (void)del;

@@ -81,7 +81,6 @@ class WalBackend final : public ProvenanceBackend {
   }
   std::string name() const override { return "S3+SimpleDB+SQS"; }
 
-  std::unique_ptr<Session> do_open_session(SessionConfig config) override;
   bool supports_group_commit() const override { return true; }
   /// The log phase for a group of closes, in one order: begins, temp PUTs,
   /// middles, then the sealing commits in submit order. A single-close
@@ -89,8 +88,7 @@ class WalBackend final : public ProvenanceBackend {
   /// SendMessageBatch calls (10 messages per round trip). The drain is not
   /// part of it: the session's commit daemon calls pump() once after every
   /// group.
-  void commit_group(const std::vector<TicketState*>& group,
-                    sim::LatencyLedger* ledger) override;
+  void commit_group(const std::vector<TicketState*>& group) override;
   BackendResult<ReadResult> read(const std::string& object,
                                  std::uint32_t max_retries = 64) override;
   BackendResult<std::vector<pass::ProvenanceRecord>> get_provenance(
@@ -119,9 +117,6 @@ class WalBackend final : public ProvenanceBackend {
   }
 
   const WalBackendConfig& config() const { return config_; }
-  std::shared_ptr<const DomainTopology> topology() const override {
-    return topology_;
-  }
   /// Transactions the commit daemon has fully processed (diagnostics).
   std::uint64_t committed_count() const {
     std::lock_guard<std::mutex> lock(phase_mu_);
@@ -194,9 +189,7 @@ class WalBackend final : public ProvenanceBackend {
   /// objects.
   void finish_staged(const std::vector<StagedTxn>& staged);
 
-  CloudServices* services_;
   WalBackendConfig config_;
-  std::shared_ptr<const DomainTopology> topology_;
   std::string queue_url_;
   /// Drawn once from the env's seeded stream; see make_txid.
   std::uint64_t incarnation_ = 0;

@@ -8,6 +8,11 @@
 // encode (so a reserve() sized by it is bounded by the input), and never
 // narrows a version silently. Each read_* returns false instead, which the
 // decoders surface as nullopt.
+//
+// parse_u32/parse_u64 are the one parser for a number stored as a whole
+// field (S3 metadata, SimpleDB attributes, WAL fields, catalog rows): the
+// writers emit plain decimals, so a sign, a space, trailing bytes or an
+// overflow marks the field malformed -- never a different number.
 #pragma once
 
 #include <cstdint>
@@ -94,6 +99,23 @@ class Cursor {
   std::string_view buf_;
   std::size_t pos_ = 0;
 };
+
+/// The whole of `field` as one decimal no larger than UINT64_MAX (or
+/// UINT32_MAX). False on anything else, `out` then left as it was.
+inline bool parse_u64(std::string_view field, std::uint64_t& out) {
+  Cursor c(field);
+  std::uint64_t v = 0;
+  if (!c.read_u64(v) || !c.done()) return false;
+  out = v;
+  return true;
+}
+inline bool parse_u32(std::string_view field, std::uint32_t& out) {
+  Cursor c(field);
+  std::uint32_t v = 0;
+  if (!c.read_u32(v) || !c.done()) return false;
+  out = v;
+  return true;
+}
 
 /// One record: "<attribute len> <value len> <xref 0|1>\n<attribute><value>",
 /// an xref's value being its "<object>:<version>" item name.

@@ -276,6 +276,26 @@ TEST(ManifestCatalogTest, CommitPointerSwapIsTheCommitPoint) {
   EXPECT_EQ(catalog.next_snapshot_id(catalog.current()), 3u);
 }
 
+TEST(ManifestCatalogTest, OverflowingIdIsNotARow) {
+  aws::CloudEnv env(5, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  Catalog catalog(services);
+  catalog.ensure_domain();
+  const auto put_current = [&services](const std::string& id) {
+    return services.sdb.put_attributes(
+        kCatalogDomain, "current",
+        {{"id", id, true},
+         {"list-key", manifest_list_key(7), true},
+         {"entries", "10", true}});
+  };
+  ASSERT_TRUE(put_current("7").has_value());
+  ASSERT_TRUE(catalog.current().has_value());
+  EXPECT_EQ(catalog.current()->snapshot_id, 7u);
+  // 2^64 + 7: a parser that wraps would read it as snapshot 7.
+  ASSERT_TRUE(put_current("18446744073709551623").has_value());
+  EXPECT_FALSE(catalog.current().has_value());
+}
+
 // ------------------------------------------------------------- read path --
 
 TEST(ManifestReadPathTest, EquivalenceOnRandomizedWorkload) {

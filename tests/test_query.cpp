@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 
+#include "cloudprov/ancestry.hpp"
 #include "cloudprov/backend.hpp"
 #include "cloudprov/query.hpp"
 #include "cloudprov/serialize.hpp"
@@ -180,6 +181,54 @@ TEST(QueryCostTest, S3QueriesCostTheSameScanRegardlessOfQuery) {
   // is one full metadata scan.
   EXPECT_EQ(q2.calls("s3"), q3.calls("s3"));
   EXPECT_EQ(q2.bytes_out("s3"), q3.bytes_out("s3"));
+}
+
+TEST(QuerySpillTest, S3ScanReadsSpilledXrefsBackAsXrefs) {
+  // A process reading 36 long-named inputs carries more INPUT xrefs than
+  // Arch 1's 2 KB metadata envelope holds, so some of them spill to their
+  // own S3 objects. The scan engine must read those back as the xrefs they
+  // were, as the backend's own read path does, or its walk stops short.
+  const auto input = [](int i) {
+    return "data/an-input-file-with-a-rather-long-name-" + std::to_string(i);
+  };
+  SyscallTrace t;
+  t.push_back(ev_exec(1, "/usr/bin/fetch", {"fetch"}));
+  for (int i = 0; i < 36; ++i) {
+    t.push_back(ev_write(1, input(i), "x"));
+    t.push_back(ev_close(1, input(i)));
+  }
+  t.push_back(ev_exit(1));
+  t.push_back(ev_exec(2, "/usr/bin/merge", {"merge"}));
+  for (int i = 0; i < 36; ++i) t.push_back(ev_read(2, input(i)));
+  t.push_back(ev_write(2, "data/merged", "all"));
+  t.push_back(ev_close(2, "data/merged"));
+  t.push_back(ev_exit(2));
+
+  aws::CloudEnv env(52, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  const std::unique_ptr<ProvenanceBackend> backend =
+      make_backend(Architecture::kS3Only, services);
+  PassObserver obs([&backend](const FlushUnit& u) { backend->store(u); });
+  obs.apply_trace(t);
+  obs.finish();
+  ASSERT_FALSE(services.s3.peek_keys(kDataBucket, kOverflowPrefix).empty());
+
+  const auto merged = backend->read("data/merged");
+  ASSERT_TRUE(merged.has_value());
+  const AncestryResult direct =
+      fetch_ancestry(*backend, "data/merged", merged->version);
+  const AncestryResult scanned = make_s3_query_engine(services)->ancestry(
+      "data/merged", merged->version, 10000);
+  const auto edges = [](const AncestryResult& r) {
+    std::set<std::string> out;
+    for (const auto& [id, node] : r.graph.nodes())
+      for (const ObjectVersion& up : node.ancestors)
+        out.insert(id.to_string() + " <- " + up.to_string());
+    return out;
+  };
+  EXPECT_GT(direct.graph.nodes().size(), 36u);
+  EXPECT_EQ(scanned.graph.nodes().size(), direct.graph.nodes().size());
+  EXPECT_EQ(edges(scanned), edges(direct));
 }
 
 }  // namespace

@@ -345,14 +345,12 @@ TEST(SessionTest, CrashLandsMidDeadlineFlush) {
 /// prove the session loses no per-close result.
 class PoisonBackend final : public ProvenanceBackend {
  public:
+  explicit PoisonBackend(CloudServices& services)
+      : ProvenanceBackend(services, TopologyConfig{}) {}
   Architecture architecture() const override { return Architecture::kS3Only; }
   std::string name() const override { return "poison"; }
-  std::unique_ptr<Session> do_open_session(SessionConfig config) override {
-    return std::make_unique<Session>(*this, std::move(config), nullptr);
-  }
   bool supports_group_commit() const override { return true; }
-  void commit_group(const std::vector<TicketState*>& group,
-                    sim::LatencyLedger*) override {
+  void commit_group(const std::vector<TicketState*>& group) override {
     for (TicketState* t : group) {
       t->done = true;
       if (t->unit.object == "poison")
@@ -372,7 +370,9 @@ class PoisonBackend final : public ProvenanceBackend {
 };
 
 TEST(SessionTest, PerCloseFailureInsideAGroupIsNotLost) {
-  PoisonBackend backend;
+  aws::CloudEnv env;
+  CloudServices services(env);
+  PoisonBackend backend(services);
   auto session = backend.open_session(SessionConfig{.max_group = 3});
   const Ticket ok1 = session->submit(file_unit("fine", 1, "x"));
   const Ticket bad = session->submit(file_unit("poison", 1, "x"));

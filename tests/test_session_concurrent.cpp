@@ -218,8 +218,7 @@ TEST(SessionConcurrentTest, MaintenanceActorJoinsAfterManyFlushers) {
     // other threads keep advancing it under the flush token.
     std::atomic<bool> workers_done{false};
     std::thread joiner([&] {
-      const std::shared_ptr<CommitDaemon> daemon = backend->commit_daemon(
-          &env.latency_ledger(), &env.clock(), &env.tracer(), &env.metrics());
+      const std::shared_ptr<CommitDaemon> daemon = backend->commit_daemon();
       while (!workers_done.load()) {
         daemon->join_maintenance();
         std::this_thread::yield();

@@ -101,6 +101,28 @@ TEST_F(WalBackendTest, CopyStampsNonceViaMetadataReplace) {
   EXPECT_EQ(obj->metadata.count("x-temp-created"), 0u);
 }
 
+TEST(WalGuardTest, MalformedStoredVersionDoesNotSuppressTheClose) {
+  // A stored x-version that is not a plain decimal is no version: the
+  // ordering guard must not read it as a newer one and drop the COPY, or
+  // the acknowledged close never reaches S3.
+  for (const char* stored : {"-1", "9x", " 9", "abc"}) {
+    aws::CloudEnv env(22, aws::ConsistencyConfig::strong());
+    CloudServices services(env);
+    WalBackend backend(services, low_threshold());
+    ASSERT_TRUE(
+        services.s3.put(kDataBucket, "obj", "old", {{kVersionMetaKey, stored}})
+            .has_value());
+    backend.store(file_unit("obj", 1, "new"));
+    backend.quiesce();
+    auto got = backend.read("obj");
+    ASSERT_TRUE(got.has_value()) << '"' << stored << "\": "
+                                 << got.error().message;
+    EXPECT_TRUE(got->verified) << stored;
+    EXPECT_EQ(got->version, 1u) << stored;
+    EXPECT_EQ(*got->data, "new") << stored;
+  }
+}
+
 TEST_F(WalBackendTest, ThresholdGatesThePump) {
   WalBackendConfig cfg;
   cfg.commit_threshold = 1000;  // never reached in this test

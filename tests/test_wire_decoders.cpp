@@ -18,6 +18,7 @@
 #include "cloudprov/manifest/format.hpp"
 #include "cloudprov/serialize.hpp"
 #include "cloudprov/txn.hpp"
+#include "cloudprov/wire_codec.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -246,6 +247,40 @@ TEST(WireDecoderTest, WalNumbersAreWholeDecimalU32s) {
   ASSERT_NE(at, std::string::npos);
   body.replace(at + 1, 1, "4294967298");  // 2^32 + 2
   EXPECT_FALSE(decode_wal_record(body).has_value()) << body;
+}
+
+TEST(WireDecoderTest, WholeFieldParsersAcceptOnlyPlainDecimals) {
+  // A number stored as a whole field (S3 metadata, SimpleDB attributes,
+  // catalog rows) parses only as the decimal its writer emitted: a sign, a
+  // space, trailing bytes or an overflow is malformed, and `out` is left as
+  // it was.
+  struct Case {
+    const char* field;
+    bool u32_ok;
+    bool u64_ok;
+  };
+  const Case cases[] = {
+      {"", false, false},
+      {"7x", false, false},
+      {" 7", false, false},
+      {"+7", false, false},
+      {"-1", false, false},
+      {"0", true, true},
+      {"4294967295", true, true},
+      {kAboveU32, false, true},
+      {kMaxU64, false, true},
+      {"18446744073709551616", false, false},  // 2^64
+  };
+  for (const Case& c : cases) {
+    std::uint32_t u32 = 99;
+    std::uint64_t u64 = 99;
+    EXPECT_EQ(wire::parse_u32(c.field, u32), c.u32_ok) << '"' << c.field << '"';
+    EXPECT_EQ(wire::parse_u64(c.field, u64), c.u64_ok) << '"' << c.field << '"';
+    if (!c.u32_ok) EXPECT_EQ(u32, 99u) << '"' << c.field << '"';
+    if (!c.u64_ok) EXPECT_EQ(u64, 99u) << '"' << c.field << '"';
+    if (c.u64_ok) EXPECT_EQ(std::to_string(u64), c.field);
+    if (c.u32_ok) EXPECT_EQ(std::to_string(u32), c.field);
+  }
 }
 
 // --- the mutation sweep ---
