@@ -54,6 +54,14 @@ inline void charge_read_retry(aws::CloudEnv& env) {
 /// Nonce of a version ("the nonce is typically the file version").
 std::string nonce_for_version(std::uint32_t version);
 
+/// The consistency token of every close of a flush group, in group order:
+/// MD5(data || nonce_for_version(version)), a close without data hashing
+/// as empty data.
+/// The group is hashed together in vector lanes (util::md5_with_nonce_many),
+/// so a token is bit-identical to util::md5_with_nonce's.
+std::vector<std::string> group_md5_tokens(
+    const std::vector<TicketState*>& group);
+
 /// The read path: GET data, look up the provenance item named by the nonce
 /// in the object's shard domain (resolved through the topology), verify
 /// MD5(data || nonce); on any mismatch or miss, retry the whole round. A

@@ -21,7 +21,10 @@ bool TokenBucket::try_consume(double cost, sim::SimTime now,
                               sim::SimTime* retry_after) {
   tokens_ = refilled(tokens_, quota_, last_, now);
   last_ = std::max(last_, now);
-  if (tokens_ >= cost) {
+  // A close dearer than the burst waits for a full bucket, then leaves it
+  // in debt.
+  const double needed = std::min(cost, quota_.burst);
+  if (tokens_ >= needed) {
     tokens_ -= cost;
     return true;
   }
@@ -29,7 +32,7 @@ bool TokenBucket::try_consume(double cost, sim::SimTime now,
     if (quota_.rate_per_sec <= 0.0) {
       *retry_after = 0;  // never refills; no honest estimate exists
     } else {
-      const double deficit = cost - tokens_;
+      const double deficit = needed - tokens_;
       *retry_after = static_cast<sim::SimTime>(
                          deficit * static_cast<double>(sim::kSecond) /
                          quota_.rate_per_sec) +

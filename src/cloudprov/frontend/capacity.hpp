@@ -14,8 +14,9 @@ namespace provcloud::cloudprov {
 
 /// What a tenant provisioned. Units are abstract "capacity units": a close
 /// costs 1 plus one unit per FrontendConfig::capacity_unit_bytes of data,
-/// mirroring how DynamoDB charges write units per KB. `burst` must cover
-/// the largest single close or that close can never be admitted.
+/// mirroring how DynamoDB charges write units per KB. A close dearer than
+/// `burst` is admitted once the bucket is full and leaves it in debt, so
+/// the tenant's sustained rate still holds.
 struct TenantQuota {
   /// Sustained capacity units per virtual second.
   double rate_per_sec = 100.0;
@@ -31,11 +32,12 @@ class TokenBucket {
   TokenBucket(const TenantQuota& quota, sim::SimTime now)
       : quota_(quota), tokens_(quota.burst), last_(now) {}
 
-  /// Consume `cost` units at virtual time `now`. On refusal, *retry_after
-  /// (optional out) receives the virtual wait until `cost` units will have
-  /// refilled -- the 503's Retry-After. A cost above the burst capacity is
-  /// never admissible; retry_after then reports the wait as if the bucket
-  /// could hold it, which at least scales with the deficit.
+  /// Consume `cost` units at virtual time `now`. A cost above the burst
+  /// capacity is admitted when the bucket is full, and the tokens go below
+  /// zero: the debt refills at the quota rate before anything else is
+  /// admitted. On refusal, *retry_after (optional out) receives the virtual
+  /// wait until min(cost, burst) units will be there -- the 503's
+  /// Retry-After, after which the same close is admitted.
   bool try_consume(double cost, sim::SimTime now,
                    sim::SimTime* retry_after = nullptr);
 

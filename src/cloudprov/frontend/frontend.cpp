@@ -21,6 +21,8 @@ Frontend::Frontend(ProvenanceBackend& backend, aws::CloudEnv& env,
     : backend_(&backend), env_(&env), config_(std::move(config)) {
   PROVCLOUD_REQUIRE_MSG(config_.session_pool > 0,
                         "Frontend needs at least one session");
+  PROVCLOUD_REQUIRE_MSG(config_.tenant_queue_cap > 0,
+                        "Frontend needs room for one queued close per tenant");
   pool_.reserve(config_.session_pool);
   for (std::size_t i = 0; i < config_.session_pool; ++i) {
     SessionConfig sc = config_.session;

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "cloudprov/consistency_read.hpp"
+#include "cloudprov/frontend/frontend.hpp"
 #include "cloudprov/lsb/format.hpp"
 #include "cloudprov/lsb/lsb_backend.hpp"
 #include "cloudprov/manifest/reader.hpp"
@@ -766,6 +767,89 @@ CrashSweepReport check_lsb_crash_sweep(const PropertyCheckOptions& options) {
               lsb->compact();
             },
             check};
+  });
+}
+
+CrashSweepReport check_frontend_crash_sweep(
+    Architecture arch, const PropertyCheckOptions& options) {
+  // What the injected phase leaves the check: every close offered, with its
+  // ticket, and which tickets were ok() when the crash fired.
+  struct Tenants {
+    std::unique_ptr<Frontend> frontend;
+    std::vector<std::pair<FrontendTicket, pass::FlushUnit>> offered;
+    std::vector<std::size_t> acknowledged;
+
+    // Each close is a fresh object of 100-2,699 bytes from one of three
+    // tenants in turn, so a read-back names exactly that close.
+    void offer(std::size_t closes) {
+      for (std::size_t i = 0; i < closes; ++i) {
+        const std::size_t n = offered.size();
+        const std::string tenant = "tenant" + std::to_string(n % 3);
+        pass::FlushUnit unit;
+        unit.object = tenant + "/f" + std::to_string(n);
+        unit.version = 1;
+        unit.data = util::make_shared_bytes(
+            util::Bytes(100 + n * 97 % 2600, static_cast<char>('a' + n % 26)));
+        unit.records = {pass::make_text_record("TYPE", "file"),
+                        pass::make_text_record("NAME", unit.object)};
+        auto ticket = frontend->offer(tenant, unit);
+        PROVCLOUD_REQUIRE_MSG(ticket.has_value(),
+                              "frontend refused: " + ticket.error().message);
+        offered.emplace_back(*ticket, std::move(unit));
+      }
+    }
+    void note_acknowledged() {
+      for (std::size_t i = 0; i < offered.size(); ++i)
+        if (offered[i].first.ok()) acknowledged.push_back(i);
+    }
+  };
+
+  return sweep(arch, options, [&options, arch](Fixture& fx) -> Replay {
+    FrontendConfig cfg;
+    cfg.session_pool = 2;
+    cfg.session.client_id = "frontend";
+    cfg.session.max_group = options.group_size;
+    cfg.session.flush_deadline = 200 * sim::kMillisecond;
+    auto tenants = std::make_shared<Tenants>();
+    tenants->frontend = std::make_unique<Frontend>(*fx.backend, fx.env, cfg);
+    tenants->offer(39);
+    const auto synced = tenants->frontend->sync_all();
+    PROVCLOUD_REQUIRE_MSG(synced.has_value(),
+                          "frontend sync failed: " + synced.error().message);
+
+    const auto inject = [&fx, tenants] {
+      try {
+        for (int step = 0; step < 5; ++step) {
+          tenants->offer(3);
+          fx.env.clock().advance_by(100 * sim::kMillisecond);
+          tenants->frontend->pump();
+        }
+        const auto done = tenants->frontend->sync_all();
+        PROVCLOUD_REQUIRE_MSG(done.has_value(),
+                              "frontend sync failed: " + done.error().message);
+      } catch (const sim::CrashError&) {
+        // The client died: what it acknowledged must be durable, and its
+        // sessions drop what they still queue.
+        tenants->note_acknowledged();
+        tenants->frontend.reset();
+        throw;
+      }
+      tenants->note_acknowledged();
+    };
+    const auto check = [&fx, tenants, arch]() -> std::uint64_t {
+      if (arch == Architecture::kS3SimpleDbSqs) fx.backend->recover();
+      settle(fx);
+      std::uint64_t violations = 0;
+      for (const std::size_t i : tenants->acknowledged) {
+        const pass::FlushUnit& unit = tenants->offered[i].second;
+        const auto got = fx.backend->read(unit.object);
+        if (!got || !got->verified || got->version != unit.version ||
+            got->data == nullptr || *got->data != *unit.data)
+          ++violations;
+      }
+      return violations;
+    };
+    return {inject, check};
   });
 }
 

@@ -26,7 +26,8 @@
 //                      dataset size.
 //
 // One crash driver serves every scenario: the Table-1 close above, the
-// manifest roll and the Arch-4 segment log's maintenance. A scenario is a
+// manifest roll, the Arch-4 segment log's maintenance and the Frontend's
+// admission-to-durability path. A scenario is a
 // base phase, an injected phase and a check. The driver runs it once with
 // no crash armed and counts each crash point's hits in the injected phase,
 // then replays it at the same seed once per (point, k <= hits) with the
@@ -159,5 +160,16 @@ CrashSweepReport check_manifest_roll(Architecture arch,
 /// ground truth. The crashed backend is never settled.
 CrashSweepReport check_lsb_crash_sweep(
     const PropertyCheckOptions& options = {});
+
+/// Crash sweep over the Frontend's path from offer to durable close. The
+/// base phase is a Frontend (a pool of two sessions at the options' group
+/// size, a 200 ms flush deadline) taking 39 closes from three tenants, then
+/// a sync; the injected phase offers 15 more between clock steps and pumps,
+/// then syncs. The crashed Frontend is dropped. After each crash an Arch-3
+/// backend recovers (its commit daemon restarts), the world settles, and
+/// every close whose FrontendTicket was ok() when the crash fired must read
+/// back verified, at its version, with its data.
+CrashSweepReport check_frontend_crash_sweep(
+    Architecture arch, const PropertyCheckOptions& options = {});
 
 }  // namespace provcloud::cloudprov

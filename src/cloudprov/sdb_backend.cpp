@@ -151,6 +151,22 @@ std::string nonce_for_version(std::uint32_t version) {
   return std::to_string(version);
 }
 
+std::vector<std::string> group_md5_tokens(
+    const std::vector<TicketState*>& group) {
+  std::vector<std::string> nonces;
+  nonces.reserve(group.size());
+  for (const TicketState* ticket : group)
+    nonces.push_back(nonce_for_version(ticket->unit.version));
+  std::vector<util::NoncedMessage> messages;
+  messages.reserve(group.size());
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    const util::SharedBytes& data = group[i]->unit.data;
+    messages.push_back(util::NoncedMessage{
+        data != nullptr ? *data : *kEmptyBytes, nonces[i]});
+  }
+  return util::md5_with_nonce_many(messages);
+}
+
 BackendResult<std::vector<pass::ProvenanceRecord>> fetch_sdb_provenance(
     CloudServices& services, const DomainTopology& topology,
     const std::string& object, std::uint32_t version,
@@ -342,7 +358,9 @@ void SdbBackend::commit_group(const std::vector<TicketState*>& group) {
 
   // Phase 1, per close in submit order: spill oversized values to S3 and
   // encode the provenance attributes. No SimpleDB traffic yet.
-  for (TicketState* ticket : group) {
+  std::vector<std::string> tokens = group_md5_tokens(group);
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    TicketState* ticket = group[i];
     const pass::FlushUnit& unit = ticket->unit;
     env.failures().crash_point("sdb.store.begin");
     SdbEncoding enc = encode_unit_as_attributes(unit);
@@ -360,11 +378,8 @@ void SdbBackend::commit_group(const std::vector<TicketState*>& group) {
         env.failures().crash_point("sdb.store.after_overflow_put");
       }
     }
-    const std::string nonce = nonce_for_version(unit.version);
-    const util::SharedBytes data =
-        unit.data != nullptr ? unit.data : kEmptyBytes;
     enc.attributes.push_back(aws::SdbReplaceableAttribute{
-        kMd5Attribute, util::md5_with_nonce(*data, nonce), true});
+        kMd5Attribute, std::move(tokens[i]), true});
 
     PreparedUnit p;
     p.ticket = ticket;

@@ -10,7 +10,6 @@
 #include "cloudprov/serialize.hpp"
 #include "cloudprov/session.hpp"
 #include "cloudprov/wire_codec.hpp"
-#include "util/md5.hpp"
 #include "util/require.hpp"
 
 namespace provcloud::cloudprov {
@@ -55,7 +54,9 @@ void WalBackend::commit_group(const std::vector<TicketState*>& group) {
   };
   std::vector<LoggedTxn> txns;
   txns.reserve(group.size());
-  for (TicketState* ticket : group) {
+  std::vector<std::string> tokens = group_md5_tokens(group);
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    TicketState* ticket = group[i];
     env.failures().crash_point("wal.store.begin");
     const pass::FlushUnit& unit = ticket->unit;
     const std::string txid = make_txid(incarnation_, next_txid_++);
@@ -72,8 +73,8 @@ void WalBackend::commit_group(const std::vector<TicketState*>& group) {
     txn.has_data = unit.kind == pass::PnodeKind::kFile;
     if (txn.has_data)
       txn.temp_key = std::string(kTempPrefix) + config_.queue_name + "/" + txid;
-    txn.records = build_transaction(txid, unit, txn.temp_key, nonce,
-                                    util::md5_with_nonce(*txn.data, nonce));
+    txn.records =
+        build_transaction(txid, unit, txn.temp_key, nonce, tokens[i]);
     txns.push_back(std::move(txn));
   }
 

@@ -8,6 +8,7 @@
 
 #include "cloudprov/frontend/frontend.hpp"
 #include "cloudprov/session.hpp"
+#include "util/require.hpp"
 #include "workloads/openloop.hpp"
 
 namespace {
@@ -249,6 +250,69 @@ TEST(FrontendTest, CapacityRefusalIsTypedWithRetryAfter) {
   EXPECT_EQ(stats.accepted, 1u);
   // Only the offending tenant pays: a different tenant is admitted.
   EXPECT_TRUE(frontend.offer("t1", unit).has_value());
+}
+
+TEST(FrontendTest, CloseDearerThanTheBurstIsAdmittedIntoDebt) {
+  // The default quota: 100 units/s, a 200-unit burst and 4 KiB units. A
+  // 1 MiB close costs 257 units, more than the bucket holds: a full bucket
+  // admits it and goes 57 units into debt.
+  aws::CloudEnv env(67, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  auto backend = make_backend(Architecture::kS3SimpleDb, services);
+  Frontend frontend(*backend, env);
+  ASSERT_TRUE(
+      frontend.offer("t0", file_unit("t0/big", 1, std::string(1 << 20, 'b')))
+          .has_value());
+
+  // The next close (2 units) waits out the debt too: 59 units, 0.59 s.
+  const FlushUnit small = file_unit("t0/small", 1, std::string(256, 's'));
+  auto refused = frontend.offer("t0", small);
+  ASSERT_FALSE(refused.has_value());
+  EXPECT_EQ(refused.error().code, BackendErrorCode::kThrottled);
+  EXPECT_GE(refused.error().retry_after, 59 * sim::kSecond / 100);
+  env.clock().advance_by(refused.error().retry_after);
+  EXPECT_TRUE(frontend.offer("t0", small).has_value());
+}
+
+TEST(FrontendTest, DebtKeepsTheSustainedRateForClosesDearerThanTheBurst) {
+  // A tenant offers 1 MiB closes (257 units each) for 60 virtual seconds,
+  // each retry after the advertised Retry-After. The bucket starts full,
+  // so it admits the first at once and then one per 2.57 s: no more than
+  // the 100 units/s quota pays for, and every advertised wait is honest.
+  aws::CloudEnv env(68, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  auto backend = make_backend(Architecture::kS3SimpleDb, services);
+  Frontend frontend(*backend, env);
+  const FlushUnit big = file_unit("t0/big", 1, std::string(1 << 20, 'b'));
+  const sim::SimTime end = env.clock().now() + 60 * sim::kSecond;
+  std::uint64_t admitted = 0;
+  bool refused_last = false;
+  while (env.clock().now() <= end) {
+    auto offered = frontend.offer("t0", big);
+    if (offered.has_value()) {
+      ++admitted;
+      refused_last = false;
+      continue;
+    }
+    EXPECT_FALSE(refused_last) << "refused again after its Retry-After";
+    refused_last = true;
+    ASSERT_GT(offered.error().retry_after, 0);
+    env.clock().advance_by(offered.error().retry_after);
+  }
+  EXPECT_LE(admitted, 1u + 60u * 100u / 257u);
+  EXPECT_GE(admitted, 60u * 100u / 257u);
+}
+
+TEST(FrontendTest, ZeroTenantQueueCapIsRefusedAtConstruction) {
+  // Nothing fits a queue of zero, and kShedOldest would shed from an
+  // empty one.
+  aws::CloudEnv env(69, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  auto backend = make_backend(Architecture::kS3SimpleDb, services);
+  FrontendConfig cfg = ample_config();
+  cfg.tenant_queue_cap = 0;
+  cfg.overflow = OverflowPolicy::kShedOldest;
+  EXPECT_THROW(Frontend(*backend, env, cfg), util::LogicError);
 }
 
 TEST(FrontendTest, FullQueueRejectsUnderRejectPolicy) {

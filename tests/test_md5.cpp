@@ -1,6 +1,9 @@
 // MD5 against the RFC 1321 test suite plus incremental-update and nonce
-// behaviour.
+// behaviour, and the vector-lane path against the scalar one.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "util/md5.hpp"
 #include "util/require.hpp"
@@ -10,6 +13,8 @@ namespace {
 
 using provcloud::util::Md5;
 using provcloud::util::md5_with_nonce;
+using provcloud::util::md5_with_nonce_many;
+using provcloud::util::NoncedMessage;
 
 struct Vector {
   const char* input;
@@ -143,6 +148,105 @@ TEST(Md5Test, LargeInput) {
   EXPECT_EQ(h.finish(), Md5::digest(big));
   EXPECT_EQ(Md5::hex_digest(std::string(1000000, 'a')),
             "7707d6ae4e027c70eea2a935c2296f21");
+}
+
+// --- md5_with_nonce_many: the lane path ---
+
+std::string random_bytes(provcloud::util::Rng& rng, std::size_t n) {
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng.next_below(256));
+  return out;
+}
+
+/// Each message's lane-path token next to md5_with_nonce's, for a gtest
+/// diff that names the message.
+void expect_many_matches_scalar(const std::vector<NoncedMessage>& group,
+                                const std::string& what) {
+  const std::vector<std::string> tokens = md5_with_nonce_many(group);
+  ASSERT_EQ(tokens.size(), group.size()) << what;
+  for (std::size_t i = 0; i < group.size(); ++i)
+    EXPECT_EQ(tokens[i], md5_with_nonce(group[i].data, group[i].nonce))
+        << what << ": message " << i << " of " << group.size() << ", "
+        << group[i].data.size() << " data bytes, " << group[i].nonce.size()
+        << " nonce bytes";
+}
+
+TEST(Md5ManyTest, RfcVectorsAsOneLaneGroup) {
+  std::vector<NoncedMessage> group;
+  for (const Vector& v : kRfcVectors) group.push_back({v.input, ""});
+  const std::vector<std::string> tokens = md5_with_nonce_many(group);
+  ASSERT_EQ(tokens.size(), std::size(kRfcVectors));
+  for (std::size_t i = 0; i < tokens.size(); ++i)
+    EXPECT_EQ(tokens[i], kRfcVectors[i].digest) << kRfcVectors[i].input;
+}
+
+TEST(Md5ManyTest, EveryLengthNonceAndGroupSizeMatchesScalar) {
+  // Data lengths around one block and the 56-byte padding edge, and around
+  // a 4 KiB close; nonces that fit the data's last block, fill it, spill
+  // into one more and into two more. Split into groups of every size from a
+  // lone close to more than three full lane loads.
+  provcloud::util::Rng rng(30);
+  std::vector<std::string> nonces;
+  for (std::size_t len : {0u, 1u, 10u, 55u, 56u, 64u, 70u})
+    nonces.push_back(random_bytes(rng, len));
+  std::vector<std::string> datas;
+  for (std::size_t len = 0; len <= 130; ++len)
+    datas.push_back(random_bytes(rng, len));
+  for (std::size_t len : {4095u, 4096u, 4097u})
+    datas.push_back(random_bytes(rng, len));
+  std::vector<NoncedMessage> all;
+  for (const std::string& nonce : nonces)
+    for (const std::string& data : datas) all.push_back({data, nonce});
+
+  for (std::size_t group_size : {1u, 2u, 7u, 8u, 9u, 15u, 16u, 17u, 25u}) {
+    for (std::size_t start = 0; start < all.size(); start += group_size) {
+      const std::size_t end = std::min(all.size(), start + group_size);
+      expect_many_matches_scalar(
+          std::vector<NoncedMessage>(all.begin() + start, all.begin() + end),
+          "group size " + std::to_string(group_size));
+    }
+  }
+}
+
+TEST(Md5ManyTest, OneLongMessageFinishesAloneAmongShortOnes) {
+  // Md5Test.LargeInput's digests, each in a group of short messages: the
+  // long lane outlives every other, so it ends on the scalar path.
+  const std::string big(1 << 20, 'q');
+  const std::string million(1000000, 'a');
+  for (const std::string* long_one : {&big, &million}) {
+    std::vector<NoncedMessage> group;
+    for (int i = 0; i < 11; ++i)
+      group.push_back({std::string_view("short message").substr(0, i), "7"});
+    group.insert(group.begin() + 3, NoncedMessage{*long_one, ""});
+    const std::vector<std::string> tokens = md5_with_nonce_many(group);
+    EXPECT_EQ(tokens[3], long_one == &big ? "f9d3d47d8bb35da5eb74530cbb62b516"
+                                          : "7707d6ae4e027c70eea2a935c2296f21");
+    expect_many_matches_scalar(group, "long among short");
+  }
+  // Two long messages of unequal length: both run in lanes until the
+  // shorter ends, then the longer finishes alone.
+  expect_many_matches_scalar({{big, "1"}, {million, "2"}, {"x", "3"}},
+                             "two long");
+}
+
+TEST(Md5ManyTest, SeededGroupsMatchScalar) {
+  // 1,000 random groups: sizes 0-25; data lengths spread over 0-8 KiB with
+  // most of them short; nonces of 0-70 bytes.
+  provcloud::util::Rng rng(2009);
+  for (int round = 0; round < 1000; ++round) {
+    const std::size_t size = rng.next_in(0, 25);
+    std::vector<std::string> datas(size);
+    std::vector<std::string> nonces(size);
+    std::vector<NoncedMessage> group;
+    for (std::size_t i = 0; i < size; ++i) {
+      const std::size_t cap = std::size_t{1} << rng.next_in(0, 13);
+      datas[i] = random_bytes(rng, rng.next_in(0, cap));
+      nonces[i] = random_bytes(rng, rng.next_in(0, 70));
+      group.push_back({datas[i], nonces[i]});
+    }
+    expect_many_matches_scalar(group, "round " + std::to_string(round));
+    if (::testing::Test::HasFailure()) break;
+  }
 }
 
 }  // namespace

@@ -328,6 +328,35 @@ TEST(TableOneTest, LsbCrashSweepSurvivesGroupedSubmits) {
                                    << report.crash_scenarios << " scenarios";
 }
 
+TEST(TableOneFrontendTest, AcknowledgedClosesSurviveEveryCrashPoint) {
+  // Closes offered through the Frontend, crashed at every point of their
+  // path into Arch 2 and Arch 3 at every occurrence: every close the
+  // Frontend acknowledged before the crash reads back verified. At group 1
+  // a close is acknowledged only by a submit that returned; at group 8 a
+  // deadline flush also acknowledges closes before a later one crashes.
+  for (const std::size_t group_size : std::set<std::size_t>{
+           fast_options().group_size, 8}) {
+    PropertyCheckOptions o = fast_options();
+    o.group_size = group_size;
+    for (const Architecture arch :
+         {Architecture::kS3SimpleDb, Architecture::kS3SimpleDbSqs}) {
+      const std::string what =
+          std::string(to_string(arch)) + " group " + std::to_string(group_size);
+      const CrashSweepReport report = check_frontend_crash_sweep(arch, o);
+      EXPECT_TRUE(report.crash_safe())
+          << what << ": " << report.violations << " violations in "
+          << report.crash_scenarios << " scenarios";
+      EXPECT_EQ(report.crashed_runs, report.crash_scenarios) << what;
+      for (const auto& [point, p] : report.points)
+        EXPECT_EQ(p.crashes, p.hits) << what << ": " << point;
+      const char* begin = arch == Architecture::kS3SimpleDb
+                              ? "sdb.store.begin"
+                              : "wal.store.begin";
+      EXPECT_EQ(report.points.count(begin), 1u) << what;
+    }
+  }
+}
+
 TEST(TableOneTest, VerdictsSurviveBrownoutsAndThrottleStorms) {
   // ROADMAP 5b, hostile-environment sweep: a correlated brown-out (every
   // service 250ms slower per request) composed with a 503 throttle storm

@@ -2,6 +2,9 @@
 // commit, typed per-close errors, and crash-mid-group recovery.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "cloudprov/consistency_read.hpp"
 #include "cloudprov/lsb/lsb_backend.hpp"
 #include "cloudprov/sdb_backend.hpp"
@@ -221,6 +224,67 @@ TEST(SessionTest, DuplicateSubmitInOneGroupLaterCloseWins) {
   ASSERT_TRUE(got.has_value());
   EXPECT_TRUE(got->verified);
   EXPECT_EQ(*got->data, "second");
+}
+
+// --- consistency tokens of a lane-hashed group ---
+
+/// Every provenance item's MD5 attribute after `units` went through one
+/// session at `max_group`, synced and settled under strong consistency.
+std::map<std::string, std::set<std::string>> stored_tokens(
+    Architecture arch, const std::vector<FlushUnit>& units,
+    std::size_t max_group) {
+  aws::CloudEnv env(31, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  auto backend = make_backend(arch, services);
+  auto session = backend->open_session(SessionConfig{.max_group = max_group});
+  for (const FlushUnit& unit : units) session->submit(unit);
+  EXPECT_TRUE(session->sync().has_value());
+  backend->quiesce();
+  env.clock().drain();
+  std::map<std::string, std::set<std::string>> tokens;
+  for (const std::string& item :
+       services.sdb.peek_item_names(kProvenanceDomain)) {
+    const auto attrs = services.sdb.peek_item(kProvenanceDomain, item);
+    const auto md5 = attrs->find(kMd5Attribute);
+    if (md5 != attrs->end()) tokens[item] = md5->second;
+  }
+  return tokens;
+}
+
+TEST(SessionTest, LaneHashedGroupStoresTheTokensOfLoneCloses) {
+  // A group's tokens are hashed together in vector lanes; a lone close's
+  // on the scalar path. One group of 25 closes must store the MD5
+  // attributes that the same closes store one per group: transient pnodes,
+  // empty data, the 55/56/64-byte padding edges, a 100 KiB file and a
+  // repeated (object, version).
+  std::vector<FlushUnit> units;
+  for (int i = 0; i < 3; ++i) {
+    FlushUnit proc;
+    proc.object = "proc" + std::to_string(i);
+    proc.kind = PnodeKind::kProcess;
+    proc.version = 1;
+    proc.records = {make_text_record("TYPE", "process")};
+    units.push_back(proc);
+  }
+  units.push_back(file_unit("empty", 1, ""));
+  for (std::size_t size : {55u, 56u, 64u})
+    units.push_back(
+        file_unit("edge" + std::to_string(size), 1, std::string(size, 'e')));
+  units.push_back(file_unit("big", 2, std::string(100 * 1024, 'b')));
+  units.push_back(file_unit("dup", 1, "first"));
+  units.push_back(file_unit("dup", 1, "second"));
+  for (int i = 0; units.size() < 25; ++i)
+    units.push_back(file_unit("f" + std::to_string(i), 1 + i % 3,
+                              std::string(100 * i, 'a' + i % 26)));
+
+  for (const Architecture arch :
+       {Architecture::kS3SimpleDb, Architecture::kS3SimpleDbSqs}) {
+    const auto grouped = stored_tokens(arch, units, 25);
+    EXPECT_EQ(grouped.size(), 24u) << to_string(arch);  // dup:1 once
+    EXPECT_EQ(grouped, stored_tokens(arch, units, 1)) << to_string(arch);
+    const std::set<std::string> want = {util::md5_with_nonce("second", "1")};
+    EXPECT_EQ(grouped.at("dup:1"), want) << to_string(arch);
+  }
 }
 
 // --- read-your-writes ---
